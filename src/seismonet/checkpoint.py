@@ -137,8 +137,11 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
         model = build_model(config, seed=0, dtype=dtype)
         model.trained_epochs = epoch
 
-        expected = dict(model.params.items())
-        buffer_names = {name for name, _ in model.named_buffers()}
+        params = dict(model.params.items())
+        # The shape each tensor must have, checked before its payload is read,
+        # so a corrupted dim cannot request an oversized read.
+        shapes = {name: p.values.shape for name, p in params.items()}
+        shapes.update((name, values.shape) for name, values in model.named_buffers())
         seen: set[str] = set()
         while True:
             head = fh.read(4)
@@ -147,26 +150,28 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
             if len(head) != 4:
                 raise RecordFormatError(f"{path}: truncated checkpoint file")
             name = reader.exact(struct.unpack("<I", head)[0]).decode("utf-8")
+            if name not in shapes:
+                raise RecordFormatError(f"{path}: unexpected tensor {name!r}")
+            shape = shapes[name]
             rank = reader.u32()
+            if rank != len(shape):
+                raise ValidationError(
+                    f"{path}: tensor {name!r} has rank {rank}, config implies {len(shape)}")
             dims = tuple(reader.u64() for _ in range(rank))
-            count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-            raw = reader.exact(4 * count)
-            values = np.frombuffer(raw, dtype="<f4").reshape(dims)
-            if name in expected:
-                param = expected[name]
-                if param.values.shape != dims:
-                    raise ValidationError(
-                        f"{path}: tensor {name!r} has shape {dims}, "
-                        f"config implies {param.values.shape}")
+            if dims != shape:
+                raise ValidationError(
+                    f"{path}: tensor {name!r} has shape {dims}, config implies {shape}")
+            raw = reader.exact(4 * int(np.prod(shape, dtype=np.int64)))
+            values = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if name in params:
+                param = params[name]
                 param.values = values.astype(model.dtype)
                 param.grad = np.zeros_like(param.values)
-            elif name in buffer_names:
-                model.set_buffer(name, values)
             else:
-                raise RecordFormatError(f"{path}: unexpected tensor {name!r}")
+                model.set_buffer(name, values)
             seen.add(name)
 
-    missing = (set(expected) | buffer_names) - seen
+    missing = set(shapes) - seen
     if missing:
         raise RecordFormatError(
             f"{path}: checkpoint is missing tensors: {sorted(missing)[:4]}...")

@@ -6,9 +6,23 @@ convolution family shares three core kernels, because a transposed
 convolution is algebraically the input-gradient of a forward convolution
 with the same stride and padding:
 
-    forward correlation        y[b,o,l] = sum_{i,j} xpad[b,i,s*l+j] w[o,i,j]
-    input gradient             scatter of the same stencil
-    weight gradient            correlation of input windows with dy
+    forward correlation   y[b,o,l] = sum_{i,j} xpad[b,i,s*l+j] w[o,i,j]
+    input gradient        dxpad[b,i,s*l+j] += sum_o w[o,i,j] dy[b,o,l]
+    weight gradient       dw[o,i,j] = sum_{b,l} dy[b,o,l] xpad[b,i,s*l+j]
+
+Each kernel loops over the taps j and does one batched GEMM per tap, with
+W_j = w[:, :, j] made contiguous once per call:
+
+    forward               y += W_j @ xpad[:, :, j::s]
+    input gradient        dxpad[:, :, j::s] += W_j^T @ dy
+    weight gradient       dw[:, :, j] = sum_b dy_b @ xpad_b[:, j::s]^T
+
+No im2col copy is built. For stride s > 1 the input is first split into s
+contiguous phases x[:, :, r::s], so every tap reads a unit-stride view of
+one phase (a BLAS operand without a copy); the input gradient accumulates
+into strided phase views of one buffer whose flat layout is dx itself. The
+zero padding is never materialized: each tap covers only the output
+positions whose reads land inside the input.
 
 Weight layouts: (out_ch, in_ch, kernel) for ``conv1d`` and
 (in_ch, out_ch, kernel) for ``conv_transpose1d``, so a shared buffer makes
@@ -19,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ValidationError
 from .tensor import Parameter, SignalTensor, Tape
@@ -52,42 +65,64 @@ class ConvSpec:
 # Core correlation kernels (no autograd; shared by conv and transposed conv).
 # ---------------------------------------------------------------------------
 
-def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Strided sliding windows of the padded input: (b, c, n_out, kernel)."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    return sliding_window_view(x, kernel, axis=2)[:, :, ::stride, :]
+def _taps(kernel: int, stride: int, padding: int, in_len: int, n_out: int):
+    """Yield (j, r, q, lo, hi) for each tap j that reads inside the input.
+
+    Output l of tap j reads input s*l + j - padding, which is element l + q
+    of phase r = (j - padding) mod s, with q = floor((j - padding) / s).
+    Outputs [lo, hi) are those whose read lies inside the unpadded input;
+    the others read zero padding and are skipped.
+    """
+    for j in range(kernel):
+        r, q = (j - padding) % stride, (j - padding) // stride
+        phase_len = (in_len - r + stride - 1) // stride
+        lo, hi = max(0, -q), min(n_out, phase_len - q)
+        if lo < hi:
+            yield j, r, q, lo, hi
+
+
+def _phases(x: np.ndarray, stride: int) -> list[np.ndarray]:
+    """The input split into ``stride`` contiguous phases x[:, :, r::stride]."""
+    if stride == 1:
+        return [x]
+    return [np.ascontiguousarray(x[:, :, r::stride]) for r in range(stride)]
 
 
 def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    b = x.shape[0]
-    out_ch, in_ch, kernel = w.shape
-    win = _windows(x, kernel, stride, padding)
-    n_out = win.shape[2]
-    cols = win.transpose(0, 2, 1, 3).reshape(b, n_out, in_ch * kernel)
-    y = cols @ w.reshape(out_ch, in_ch * kernel).T
-    return y.transpose(0, 2, 1)
+    b, _, in_len = x.shape
+    out_ch, _, kernel = w.shape
+    n_out = (in_len + 2 * padding - kernel) // stride + 1
+    w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (kernel, out, in)
+    phases = _phases(x, stride)
+    y = np.zeros((b, out_ch, n_out), dtype=np.result_type(x, w))
+    for j, r, q, lo, hi in _taps(kernel, stride, padding, in_len, n_out):
+        y[:, :, lo:hi] += w_taps[j] @ phases[r][:, :, lo + q:hi + q]
+    return y
 
 
 def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
                      input_len: int) -> np.ndarray:
     b, _, n_out = dy.shape
-    out_ch, in_ch, kernel = w.shape
-    dcols = dy.transpose(0, 2, 1) @ w.reshape(out_ch, in_ch * kernel)
-    dcols = dcols.reshape(b, n_out, in_ch, kernel).transpose(0, 2, 1, 3)
-    dxp = np.zeros((b, in_ch, input_len + 2 * padding), dtype=dy.dtype)
-    for j in range(kernel):
-        dxp[:, :, j:j + stride * n_out:stride] += dcols[:, :, :, j]
-    if padding:
-        return dxp[:, :, padding:padding + input_len]
-    return dxp
+    _, in_ch, kernel = w.shape
+    w_taps = np.ascontiguousarray(w.transpose(2, 1, 0))  # (kernel, in, out)
+    # dx[:, :, r + stride*t] is dxp[:, :, t, r]: phase r is a strided view.
+    phase_len = -(-input_len // stride)
+    dxp = np.zeros((b, in_ch, phase_len, stride), dtype=np.result_type(dy, w))
+    for j, r, q, lo, hi in _taps(kernel, stride, padding, input_len, n_out):
+        dxp[:, :, lo + q:hi + q, r] += w_taps[j] @ dy[:, :, lo:hi]
+    return dxp.reshape(b, in_ch, phase_len * stride)[:, :, :input_len]
 
 
 def _corr_weight_grad(dy: np.ndarray, x: np.ndarray, stride: int, padding: int,
                       kernel: int) -> np.ndarray:
-    win = _windows(x, kernel, stride, padding)
-    # dw[o,i,j] = sum_{b,l} dy[b,o,l] * win[b,i,l,j]
-    return np.tensordot(dy, win, axes=([0, 2], [0, 2]))
+    in_len = x.shape[2]
+    _, out_ch, n_out = dy.shape
+    phases = _phases(x, stride)
+    dw = np.zeros((out_ch, x.shape[1], kernel), dtype=np.result_type(dy, x))
+    for j, r, q, lo, hi in _taps(kernel, stride, padding, in_len, n_out):
+        xt = phases[r][:, :, lo + q:hi + q].transpose(0, 2, 1)
+        dw[:, :, j] = (dy[:, :, lo:hi] @ xt).sum(axis=0)
+    return dw
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +261,18 @@ def leaky_relu(x: SignalTensor, slope: float, tape: Tape | None = None) -> Signa
     """y = x for x > 0, slope*x otherwise; the subgradient at 0 is slope."""
     if slope < 0:
         raise ValidationError(f"slope must be >= 0, got {slope}")
-    factor = np.where(x.values > 0, x.values.dtype.type(1), x.values.dtype.type(slope))
-    y = SignalTensor(x.values * factor)
+    s = x.dtype.type(slope)
+    # x*1 or x*s exactly: for s <= 1 the larger of x and s*x, else the smaller.
+    y_values = x.values * s
+    (np.maximum if slope <= 1 else np.minimum)(x.values, y_values, out=y_values)
+    y = SignalTensor(y_values)
 
     if tape is not None:
+        positive = x.values > 0
+
         def backward():
-            x.grad += y.grad * factor
+            # factor 1 on the mask and s elsewhere, each exact
+            x.grad += y.grad * (positive + ~positive * s)
         tape.record(backward)
     return y
 

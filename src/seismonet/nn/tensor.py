@@ -7,6 +7,8 @@ executed op. Calling ``Tape.backward()`` runs the closures in reverse order;
 each closure reads the gradient buffer of the op's output and accumulates
 into the gradient buffers of its inputs, so tensors consumed by several ops
 (skip connections, residual adds) receive summed gradients for free.
+Activation gradient buffers are allocated (zeroed) on first access, so a
+forward pass without a tape allocates none.
 """
 from __future__ import annotations
 
@@ -23,10 +25,12 @@ class SignalTensor:
     """A (batch, channels, length) buffer with a same-shape gradient buffer.
 
     ``channels`` may be zero (an empty concatenation operand); batch and
-    length must be at least 1.
+    length must be at least 1. The gradient buffer is allocated, zeroed, on
+    first access; ``x.grad += g`` and ``x.grad[...] = g`` both work on a
+    tensor whose gradient was never read.
     """
 
-    __slots__ = ("values", "grad")
+    __slots__ = ("values", "_grad")
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values)
@@ -35,7 +39,18 @@ class SignalTensor:
         if values.shape[0] < 1 or values.shape[2] < 1:
             raise ValidationError(f"batch and length must be >= 1, got shape {values.shape}")
         self.values = values
-        self.grad = np.zeros_like(values)
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        # ``x.grad += g`` reads the buffer, adds in place, then assigns it back.
+        self._grad = value
 
     @classmethod
     def zeros(cls, batch: int, channels: int, length: int, dtype=DEFAULT_DTYPE) -> "SignalTensor":
@@ -62,7 +77,7 @@ class SignalTensor:
         return self.values.dtype
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0
+        self._grad = None
 
     def __repr__(self) -> str:
         return f"SignalTensor(shape={self.values.shape}, dtype={self.values.dtype})"

@@ -9,6 +9,7 @@ line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,11 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
                 ecg.append(values[2])
 
     times_arr = np.asarray(times)
+    arrays = [times_arr, np.asarray(scg)] + ([np.asarray(ecg)] if has_ecg else [])
+    finite = np.logical_and.reduce([np.isfinite(c) for c in arrays])
+    if not finite.all():
+        lineno = _line_of_row(path, int(np.argmin(finite)))
+        raise RecordFormatError(f"{path}:{lineno}: non-finite value")
     if times_arr.size > 1 and np.any(np.diff(times_arr) <= 0):
         raise RecordFormatError(f"{path}: time column is not strictly increasing")
 
@@ -98,10 +104,17 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
     return Record(
         subject_id=subject_id or path.stem,
         fs=fs,
-        scg=np.asarray(scg),
-        ecg=np.asarray(ecg) if has_ecg else None,
+        scg=arrays[1],
+        ecg=arrays[2] if has_ecg else None,
         rpeaks=rpeaks,
     )
+
+
+def _line_of_row(path: Path, row: int) -> int:
+    """Line number of data row ``row`` (0-based) of a record CSV."""
+    with open(path, encoding="utf-8") as fh:
+        data_lines = (n for n, line in enumerate(fh, start=1) if n > 1 and line.strip())
+        return next(islice(data_lines, row, None))
 
 
 def annotation_path(record_path: str | Path) -> Path:

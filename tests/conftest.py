@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import seismonet.model
-from seismonet.nn import Tape
+from seismonet.nn import SignalTensor, Tape
 
 
 def projection_check(build, arrays, proj_seed=99, step=1e-5):
@@ -28,6 +28,14 @@ def projection_check(build, arrays, proj_seed=99, step=1e-5):
         return scalar, [t.grad if t is not None else None for t in tracked]
 
     return grad_check(fn, arrays, step=step)
+
+
+def first_dim_offset(data: bytes) -> int:
+    """Offset of the first tensor's first u64 dim in checkpoint bytes."""
+    pos = 8  # magic, version
+    pos += 4 + int.from_bytes(data[pos:pos + 4], "little")  # config block
+    pos += 4 + int.from_bytes(data[pos:pos + 4], "little")  # tensor name
+    return pos + 4  # rank
 
 
 class KinkProbe:
@@ -57,3 +65,18 @@ class KinkProbe:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def grad_reads(monkeypatch):
+    """Shapes of every SignalTensor gradient read (the only way one gets
+    allocated), in order."""
+    reads = []
+    prop = SignalTensor.grad
+
+    def counting_get(t):
+        reads.append(t.shape)
+        return prop.fget(t)
+
+    monkeypatch.setattr(SignalTensor, "grad", property(counting_get, prop.fset))
+    return reads

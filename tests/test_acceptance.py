@@ -261,6 +261,7 @@ def check_denoise(rng):
     return _check_block(rng, build, (2, 2, length))
 
 
+@pytest.mark.slow
 def test_gradient_suite():
     start = time.time()
     rng = np.random.default_rng(20250731)
@@ -377,6 +378,7 @@ def test_exact_transform_fixed_point():
     print("PASS exact-transform fixed point: stub transform gives Se=PPV=1.0")
 
 
+@pytest.mark.slow
 def test_end_to_end_desk_scale_learning():
     start = time.time()
     records = [

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import first_dim_offset
 from seismonet.cli import main
 from seismonet.records import load_record
 
@@ -184,3 +185,27 @@ def test_infer_short_record_reports_empty(workspace, tmp_path, capsys):
     short.write_text("t,scg\n0,0.1\n0.02,0.2\n")
     assert run(config, "infer", str(short)) == 0
     assert "nothing to infer" in capsys.readouterr().out
+
+
+def test_non_finite_record_sample_exits_one(workspace, capsys):
+    tmp, config = workspace
+    run(config, "synth")
+    path = sorted((tmp / "data").glob("*.csv"))[0]
+    lines = path.read_text().splitlines(keepends=True)
+    t, _, ecg = lines[5].split(",")
+    lines[5] = f"{t},nan,{ecg}"
+    path.write_text("".join(lines))
+    assert run(config, "train") == 1
+    assert f"{path.name}:6: non-finite value" in capsys.readouterr().err
+
+
+def test_corrupted_checkpoint_dim_exits_one(workspace, capsys):
+    tmp, config = workspace
+    run(config, "synth")
+    run(config, "train", "--epochs", "1")
+    path = tmp / "out" / "model_final.smn"
+    data = bytearray(path.read_bytes())
+    data[first_dim_offset(data) + 7] = 0x40  # the dim's most significant byte
+    path.write_bytes(bytes(data))
+    assert run(config, "eval") == 1
+    assert "has shape" in capsys.readouterr().err

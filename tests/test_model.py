@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import first_dim_offset
 from seismonet.checkpoint import load_checkpoint, save_checkpoint
 from seismonet.errors import ConfigError, RecordFormatError, ValidationError
 from seismonet.model import (
@@ -160,6 +161,19 @@ def test_batch_rows_independent(rng):
         np.testing.assert_array_equal(out.values[0], out.values[1])
 
 
+def test_predict_allocates_no_gradients(grad_reads, rng):
+    model = build_model(ModelConfig(input_len=64, levels=2, base_channels=4), seed=2)
+    model.predict(rng.normal(size=(3, 64)))
+    assert grad_reads == []
+    # a taped step does read them, so the probe sees allocations
+    tape = Tape()
+    out = model.forward(SignalTensor(rng.normal(size=(2, 1, 64)).astype(np.float32)),
+                        tape=tape, training=True)
+    out.grad[...] = 1.0
+    tape.backward()
+    assert len(grad_reads) > len(model.params)
+
+
 def test_forward_wrong_length_rejected():
     model = build_model(ModelConfig(input_len=64, levels=2, base_channels=4), seed=0)
     with pytest.raises(ValidationError, match="length"):
@@ -236,6 +250,41 @@ def test_checkpoint_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
     with pytest.raises(RecordFormatError, match="truncated|missing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("byte", [0, 3, 7])
+def test_checkpoint_corrupted_dim_rejected_before_payload_read(tmp_path, byte):
+    path = tmp_path / "dim.smn"
+    save_checkpoint(build_model(ModelConfig(input_len=64, levels=2, base_channels=4),
+                                seed=0), path)
+    data = bytearray(path.read_bytes())
+    data[first_dim_offset(data) + byte] ^= 0x80
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValidationError, match="has shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_wrong_rank_rejected(tmp_path):
+    path = tmp_path / "rank.smn"
+    save_checkpoint(build_model(ModelConfig(input_len=64, levels=2, base_channels=4),
+                                seed=0), path)
+    data = bytearray(path.read_bytes())
+    data[first_dim_offset(data) - 4] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValidationError, match="rank 255"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unknown_tensor_rejected(tmp_path):
+    path = tmp_path / "name.smn"
+    save_checkpoint(build_model(ModelConfig(input_len=64, levels=2, base_channels=4),
+                                seed=0), path)
+    data = bytearray(path.read_bytes())
+    pos = first_dim_offset(data) - 5  # last byte of the first tensor name
+    data[pos:pos + 1] = b"?"
+    path.write_bytes(bytes(data))
+    with pytest.raises(RecordFormatError, match="unexpected tensor"):
         load_checkpoint(path)
 
 

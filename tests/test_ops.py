@@ -447,3 +447,67 @@ def test_multi_consumer_gradient_accumulation(rng):
     y.grad[...] = 1.0
     tape.backward()
     np.testing.assert_allclose(x.grad, 2.0)
+
+
+# ----------------------------------------------------------------------
+# lazily allocated gradient buffers
+# ----------------------------------------------------------------------
+
+def test_untaped_ops_allocate_no_gradients(rng):
+    x = tensor(rng.normal(size=(2, 3, 12)))
+    other = tensor(rng.normal(size=(2, 3, 12)))
+    w = Parameter(rng.normal(size=(4, 3, 3)))
+    wt = Parameter(rng.normal(size=(3, 4, 3)))
+    calls = [
+        ((x,), conv1d(x, w, Parameter(np.zeros(4)), ConvSpec(3, 4, 3, 2, 1))),
+        ((x,), conv_transpose1d(x, wt, Parameter(np.zeros(4)),
+                                ConvSpec(3, 4, 3, 2, 1, transposed=True))),
+        ((x,), batchnorm1d(x, _bn_state(3), training=True)),
+        ((x,), leaky_relu(x, 0.01)),
+        ((x, other), concat_channels(x, other)),
+        ((x, other), add(x, other)),
+        ((x,), crop_or_pad(x, 15)),
+        ((x,), resize_linear(x, 7)),
+    ]
+    for inputs, out in calls:
+        for t in (*inputs, out):
+            assert t._grad is None
+
+
+def test_unread_gradient_accumulates_from_zero(rng):
+    x = tensor(rng.normal(size=(1, 2, 5)))
+    g = rng.normal(size=(1, 2, 5))
+    x.grad += g
+    np.testing.assert_array_equal(x.grad, g)
+    x.zero_grad()
+    assert x._grad is None
+    np.testing.assert_array_equal(x.grad, np.zeros_like(g))
+
+
+def test_output_gradient_set_by_index_reaches_input(rng):
+    # the projection_check idiom: out.grad[...] = proj on a never-read buffer
+    x = tensor(rng.normal(size=(2, 2, 6)))
+    tape = Tape()
+    y = leaky_relu(x, 0.5, tape)
+    proj = rng.normal(size=y.shape)
+    y.grad[...] = proj
+    tape.backward()
+    np.testing.assert_array_equal(x.grad, proj * np.where(x.values > 0, 1.0, 0.5))
+
+
+def test_leaky_relu_bitwise_equals_factor_formula(rng):
+    for dtype in (np.float32, np.float64):
+        for slope in (0.0, 0.01, 1.0, 2.5):
+            values = rng.normal(size=(2, 3, 40)).astype(dtype)
+            values[0, 0, :3] = (0.0, -0.0, np.nan)
+            factor = np.where(values > 0, dtype(1), dtype(slope))
+            x = SignalTensor(values)
+            tape = Tape()
+            y = leaky_relu(x, slope, tape)
+            bits = np.dtype(f"u{values.itemsize}")
+            np.testing.assert_array_equal(y.values.view(bits), (values * factor).view(bits))
+            dy = rng.normal(size=values.shape).astype(dtype)
+            y.grad[...] = dy
+            tape.backward()
+            accumulated = np.zeros_like(dy) + dy * factor  # 0 + (-0) is +0
+            np.testing.assert_array_equal(x.grad.view(bits), accumulated.view(bits))

@@ -48,6 +48,19 @@ def test_wrong_field_count_reports_line_number(tmp_path):
         load_record(path, fs=1)
 
 
+@pytest.mark.parametrize("rows,line", [
+    ("0,1.0,2.0\n1,nan,2.0\n", 3),
+    ("0,1.0,2.0\n\n1,1.0,-inf\n", 4),
+    ("inf,1.0,2.0\n", 2),
+    ("0,1.0,2.0\n1,1e999,2.0\n", 3),
+], ids=["nan_scg", "neg_inf_ecg_after_blank_line", "inf_time", "overflow_to_inf"])
+def test_non_finite_sample_reports_line_number(tmp_path, rows, line):
+    path = tmp_path / "r.csv"
+    path.write_text("t,scg,ecg\n" + rows)
+    with pytest.raises(RecordFormatError, match=rf"r\.csv:{line}: non-finite value"):
+        load_record(path, fs=1)
+
+
 def test_non_monotone_time_rejected(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("t,scg\n0,1.0\n0,2.0\n")

@@ -94,6 +94,11 @@ def test_evaluate_loss_pure():
         np.testing.assert_array_equal(buf, before_buffers[name])
 
 
+def test_evaluate_loss_allocates_no_gradients(grad_reads):
+    evaluate_loss(tiny_model(), tiny_split().val)
+    assert grad_reads == []
+
+
 def test_evaluate_loss_on_perfect_predictions():
     # all-zero parameters force an all-zero output; zero targets give loss 0
     split = tiny_split()
