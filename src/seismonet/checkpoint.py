@@ -118,6 +118,12 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.exact(8))[0]
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.exact(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise RecordFormatError(f"{self.path}: {what} is not valid UTF-8") from None
+
 
 def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
     """Reconstruct a model from a checkpoint file."""
@@ -132,7 +138,7 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
         if version != VERSION:
             raise RecordFormatError(
                 f"{path}: unsupported checkpoint version {version}, expected {VERSION}")
-        config_block = reader.exact(reader.u32()).decode("utf-8")
+        config_block = reader.text(reader.u32(), "config block")
         config, epoch = _parse_config_text(config_block, path)
         model = build_model(config, seed=0, dtype=dtype)
         model.trained_epochs = epoch
@@ -149,7 +155,7 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
                 break
             if len(head) != 4:
                 raise RecordFormatError(f"{path}: truncated checkpoint file")
-            name = reader.exact(struct.unpack("<I", head)[0]).decode("utf-8")
+            name = reader.text(struct.unpack("<I", head)[0], "tensor name")
             if name not in shapes:
                 raise RecordFormatError(f"{path}: unexpected tensor {name!r}")
             shape = shapes[name]

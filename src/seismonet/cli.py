@@ -20,11 +20,14 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
+    RecordInference,
     evaluate_split,
+    hrv_table,
+    read_hrv_csv,
     write_agreement_csv,
     write_hrv_csv,
 )
-from .hrv import bland_altman, hrv_indices, nn_intervals
+from .hrv import hrv_indices, nn_intervals
 from .model import build_model
 from .records import (
     Record,
@@ -38,19 +41,20 @@ from .training import train
 from .windows import labeled_only, segment_windows, split_dataset
 
 
+def _load_resampled(cfg: RunConfig, path: str | Path) -> Record:
+    record = load_record(path, fs=cfg["sampling.source_fs"])
+    target_fs = cfg["sampling.target_fs"]
+    if target_fs > 0 and target_fs != record.fs:
+        record = resample_record(record, target_fs)
+    return record
+
+
 def _load_records(cfg: RunConfig) -> list[Record]:
     data_dir = cfg.data_dir()
     paths = sorted(data_dir.glob("*.csv"))
     if not paths:
         raise ValidationError(f"no record CSV files found in {data_dir}")
-    records = []
-    for path in paths:
-        record = load_record(path, fs=cfg["sampling.source_fs"])
-        target_fs = cfg["sampling.target_fs"]
-        if target_fs > 0 and target_fs != record.fs:
-            record = resample_record(record, target_fs)
-        records.append(record)
-    return records
+    return [_load_resampled(cfg, path) for path in paths]
 
 
 def _windows_split(cfg: RunConfig, records: list[Record]):
@@ -106,8 +110,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     out_dir = cfg.out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "report.csv")
-    write_hrv_csv(report, out_dir / "hrv.csv")
-    write_agreement_csv(report, out_dir / "bland_altman_points.csv",
+    rows = hrv_table(report)
+    write_hrv_csv(rows, out_dir / "hrv.csv")
+    write_agreement_csv(rows, out_dir / "bland_altman_points.csv",
                         out_dir / "bland_altman_summary.csv")
     print(f"total Se {report.total_se:.2f}, PPV {report.total_ppv:.2f} "
           f"({len(report.rows)} subjects)")
@@ -116,10 +121,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_infer(cfg: RunConfig, record_path: str) -> int:
     model = load_checkpoint(cfg.checkpoint_path())
-    record = load_record(record_path, fs=cfg["sampling.source_fs"])
-    target_fs = cfg["sampling.target_fs"]
-    if target_fs > 0 and target_fs != record.fs:
-        record = resample_record(record, target_fs)
+    record = _load_resampled(cfg, record_path)
     try:
         windows = segment_windows(record, cfg["dataset.window_sec"],
                                   cfg["dataset.hop_sec"])
@@ -132,24 +134,16 @@ def cmd_infer(cfg: RunConfig, record_path: str) -> int:
             f"window length {windows[0].length} != model input length "
             f"{model.config.input_len}; adjust dataset.window_sec or sampling")
 
-    from .detect import detect_valleys
-    from .evaluation import merge_detections
-
     out_dir = cfg.out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = cfg.valley_params()
-    fs = record.fs
-    hits = []
+    inference = RecordInference(model, windows, record.fs, cfg.valley_params())
     pred_path = out_dir / f"pred_{record.subject_id}.csv"
     with open(pred_path, "w", encoding="utf-8") as fh:
         fh.write("window_start,offset,t_pred\n")
-        for window in windows:
-            pred = model.predict(window.scg_seg)
+        for window, pred, _ in inference:
             for offset, value in enumerate(pred):
                 fh.write(f"{window.start},{offset},{float(value)!r}\n")
-            for v in detect_valleys(pred, fs, params):
-                hits.append((int(v + window.start), float(pred[v])))
-    merged = merge_detections(hits, params.refractory_ms * fs / 1000.0 / 2.0)
+    merged = inference.merged()
     peaks_path = out_dir / f"{record.subject_id}.peaks"
     with open(peaks_path, "w", encoding="utf-8") as fh:
         for idx in merged:
@@ -161,68 +155,33 @@ def cmd_infer(cfg: RunConfig, record_path: str) -> int:
 def cmd_hrv(cfg: RunConfig) -> int:
     """HRV indices from record annotations (annotating from ECG if needed)."""
     records = _load_records(cfg)
+    rows = []
+    for record in records:
+        peaks = record.rpeaks
+        if peaks is None and record.ecg is not None:
+            peaks = annotate_ecg_rpeaks(record.ecg, record.fs)
+        if peaks is None or peaks.size < 3:
+            print(f"skipping {record.subject_id!r}: fewer than 3 annotated peaks")
+            continue
+        rows.append((record.subject_id, "ecg", hrv_indices(nn_intervals(peaks, record.fs))))
     out_dir = cfg.out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "hrv.csv"
-    rows = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("subject,source,mean_nn_ms,sdnn_ms,rmssd_ms,pnn50\n")
-        for record in records:
-            peaks = record.rpeaks
-            if peaks is None and record.ecg is not None:
-                peaks = annotate_ecg_rpeaks(record.ecg, record.fs)
-            if peaks is None or peaks.size < 3:
-                print(f"skipping {record.subject_id!r}: fewer than 3 annotated peaks")
-                continue
-            idx = hrv_indices(nn_intervals(peaks, record.fs))
-            fh.write(f"{record.subject_id},ecg,{idx.mean_nn!r},{idx.sdnn!r},"
-                     f"{idx.rmssd!r},{idx.pnn50!r}\n")
-            rows += 1
-    print(f"wrote {rows} HRV rows to {path}")
+    write_hrv_csv(rows, path)
+    print(f"wrote {len(rows)} HRV rows to {path}")
     return 0
 
 
 def cmd_agree(cfg: RunConfig, hrv_csv: str | None) -> int:
     """Bland-Altman agreement from an hrv.csv with scg and ecg rows."""
-    path = Path(hrv_csv) if hrv_csv else cfg.out_dir() / "hrv.csv"
-    if not path.exists():
-        raise ValidationError(f"HRV table not found: {path}")
-    by_subject: dict[str, dict[str, list[float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["subject", "source"]:
-            raise RecordFormatError(f"{path}: expected an hrv.csv header")
-        index_names = header[2:]
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                continue
-            subject, source = parts[0], parts[1]
-            by_subject.setdefault(subject, {})[source] = [float(v) for v in parts[2:]]
-
+    rows = read_hrv_csv(hrv_csv if hrv_csv else cfg.out_dir() / "hrv.csv")
     out_dir = cfg.out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    points_path = out_dir / "bland_altman_points.csv"
-    summary_path = out_dir / "bland_altman_summary.csv"
-    with open(points_path, "w", encoding="utf-8") as fh_p, \
-            open(summary_path, "w", encoding="utf-8") as fh_s:
-        fh_p.write("index,mean,diff\n")
-        fh_s.write("index,mean_diff,sd_diff,loa_low,loa_high,loa_range,outliers\n")
-        for col, name in enumerate(index_names):
-            pairs = [
-                (values["scg"][col], values["ecg"][col])
-                for values in by_subject.values()
-                if "scg" in values and "ecg" in values
-            ]
-            if len(pairs) < 2:
-                continue
-            st = bland_altman(pairs)
-            for mean, diff in st.points:
-                fh_p.write(f"{name},{mean!r},{diff!r}\n")
-            fh_s.write(f"{name},{st.mean_diff!r},{st.sd_diff!r},{st.loa_low!r},"
-                       f"{st.loa_high!r},{st.loa_range!r},{len(st.outliers)}\n")
-            print(f"{name}: mean diff {st.mean_diff:.4f}, "
-                  f"LoA [{st.loa_low:.4f}, {st.loa_high:.4f}]")
+    stats = write_agreement_csv(rows, out_dir / "bland_altman_points.csv",
+                                out_dir / "bland_altman_summary.csv")
+    for name, st in stats.items():
+        print(f"{name}: mean diff {st.mean_diff:.4f}, "
+              f"LoA [{st.loa_low:.4f}, {st.loa_high:.4f}]")
     return 0
 
 

@@ -47,23 +47,37 @@ def detect_valleys(t_pred: np.ndarray, fs: float,
     is_valley = (signal[interior] < signal[interior - 1]) & \
                 (signal[interior] < signal[interior + 1])
     candidates = interior[is_valley]
-    if candidates.size == 0:
-        return np.zeros(0, dtype=np.int64)
-
     if params.min_prominence > 0:
         prominences = peak_prominences(-signal, candidates)[0]
         candidates = candidates[prominences >= params.min_prominence]
-        if candidates.size == 0:
-            return np.zeros(0, dtype=np.int64)
+    return thin(candidates, signal[candidates], params.refractory_ms * fs / 1000.0)
 
-    gap = params.refractory_ms * fs / 1000.0
-    # Deepest first; ties resolved by position for determinism.
-    order = np.lexsort((candidates, signal[candidates]))
-    kept: list[int] = []
-    for idx in candidates[order]:
-        if all(abs(int(idx) - k) >= gap for k in kept):
-            kept.append(int(idx))
-    return np.asarray(sorted(kept), dtype=np.int64)
+
+def thin(positions: np.ndarray, depths: np.ndarray, gap: float) -> np.ndarray:
+    """Greedy refractory thinning; the kept positions, sorted, as int64.
+
+    Positions are visited deepest first, ties resolved by position for
+    determinism; one is kept unless an already kept one lies closer than
+    ``gap``. A kept position suppresses its neighbours, found by binary
+    search in position order, so thinning is O(n log n).
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    order = np.argsort(positions)
+    positions = positions[order]
+    depths = np.asarray(depths, dtype=np.float64)[order]
+    # Integer positions are closer than gap exactly when at most `reach`
+    # apart; [lo, hi) holds those neighbours.
+    reach = np.ceil(gap) - 1.0
+    lo = np.searchsorted(positions, positions - reach, side="left").tolist()
+    hi = np.searchsorted(positions, positions + reach, side="right").tolist()
+
+    suppressed = np.zeros(positions.size, dtype=bool)
+    keep = np.zeros(positions.size, dtype=bool)
+    for i in np.lexsort((positions, depths)).tolist():
+        if not suppressed[i]:
+            keep[i] = True
+            suppressed[lo[i]:hi[i]] = True
+    return positions[keep]
 
 
 def match_peaks(detected: np.ndarray, actual: np.ndarray, tol_ms: float,

@@ -4,18 +4,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .detect import ValleyParams, detect_valleys, match_peaks, ppv, sensitivity
-from .errors import ValidationError
-from .hrv import HrvIndices, bland_altman, hrv_indices, nn_intervals
+from .detect import ValleyParams, detect_valleys, match_peaks, ppv, sensitivity, thin
+from .errors import RecordFormatError, ValidationError
+from .hrv import BlandAltmanStats, HrvIndices, bland_altman, hrv_indices, nn_intervals
 from .windows import Window, group_by_subject
 
 DEFAULT_TOL_MS = 90.0
 
 HRV_INDEX_NAMES = ("mean_nn_ms", "sdnn_ms", "rmssd_ms", "pnn50")
+HRV_HEADER = "subject,source," + ",".join(HRV_INDEX_NAMES)
+
+# One hrv.csv row: subject, derivation ("scg" or "ecg"), indices.
+HrvRow = tuple[str, str, HrvIndices]
 
 
 @dataclass(frozen=True)
@@ -78,23 +82,49 @@ def _round2(value: float) -> str:
     return "nan" if math.isnan(value) else f"{value:.2f}"
 
 
-def window_predictor(model) -> Callable[[Window], np.ndarray]:
-    """Adapt a model (or a plain window->waveform callable) to windows."""
-    if hasattr(model, "predict"):
-        return lambda window: model.predict(window.scg_seg)
-    if callable(model):
-        return model
-    raise ValidationError("model must expose .predict or be callable on a window")
-
-
-def merge_detections(hits: list[tuple[int, float]], min_gap: float) -> np.ndarray:
+def merge_detections(hits: Sequence[tuple[int, float]], min_gap: float) -> np.ndarray:
     """Deduplicate record-coordinate detections, keeping the deeper valley
     of any two closer than min_gap samples."""
-    kept: list[int] = []
-    for idx, _depth in sorted(hits, key=lambda h: (h[1], h[0])):
-        if all(abs(idx - k) >= min_gap for k in kept):
-            kept.append(idx)
-    return np.asarray(sorted(kept), dtype=np.int64)
+    positions = np.fromiter((h[0] for h in hits), dtype=np.int64, count=len(hits))
+    depths = np.fromiter((h[1] for h in hits), dtype=np.float64, count=len(hits))
+    return thin(positions, depths, min_gap)
+
+
+class RecordInference:
+    """The record-inference loop, for a model or a plain window->waveform
+    callable.
+
+    Iterating predicts one window at a time, checks the prediction's
+    length and yields ``(window, prediction, valleys)``, valleys in window
+    coordinates, so no caller needs every waveform of a record at once.
+    ``merged()`` then deduplicates all valleys in record coordinates,
+    collapsing those within half the refractory period to the deeper one.
+    """
+
+    def __init__(self, model, windows: Sequence[Window], fs: float,
+                 valley_params: ValleyParams):
+        if hasattr(model, "predict"):
+            self.predict = lambda window: model.predict(window.scg_seg)
+        elif callable(model):
+            self.predict = model
+        else:
+            raise ValidationError("model must expose .predict or be callable on a window")
+        self.windows, self.fs, self.valley_params = windows, fs, valley_params
+        self.hits: list[tuple[int, float]] = []
+
+    def __iter__(self) -> Iterator[tuple[Window, np.ndarray, np.ndarray]]:
+        for window in self.windows:
+            pred = np.asarray(self.predict(window), dtype=np.float64).reshape(-1)
+            if pred.size != window.length:
+                raise ValidationError(
+                    f"prediction length {pred.size} != window length {window.length}")
+            valleys = detect_valleys(pred, self.fs, self.valley_params)
+            self.hits.extend((int(v + window.start), float(pred[v])) for v in valleys)
+            yield window, pred, valleys
+
+    def merged(self) -> np.ndarray:
+        return merge_detections(
+            self.hits, self.valley_params.refractory_ms * self.fs / 1000.0 / 2.0)
 
 
 def evaluate_subject(model, test_windows: Sequence[Window], fs: float,
@@ -114,23 +144,17 @@ def evaluate_subject(model, test_windows: Sequence[Window], fs: float,
     if not test_windows:
         raise ValidationError("no test windows given")
     subject = test_windows[0].subject_id
-    predict = window_predictor(model)
-
-    hits: list[tuple[int, float]] = []
-    actual_all: list[int] = []
-    tp = fp = fn = 0
-    detected_total = actual_total = 0
     for window in test_windows:
         if window.rpeaks_local is None:
             raise ValidationError(
                 f"window (subject={subject!r}, start={window.start}) has no annotations")
-        pred = np.asarray(predict(window), dtype=np.float64).reshape(-1)
-        if pred.size != window.length:
-            raise ValidationError(
-                f"prediction length {pred.size} != window length {window.length}")
-        valleys = detect_valleys(pred, fs, valley_params)
+
+    inference = RecordInference(model, test_windows, fs, valley_params)
+    actual_all: list[int] = []
+    tp = fp = fn = 0
+    detected_total = actual_total = 0
+    for window, _, valleys in inference:
         local_actual = np.asarray(window.rpeaks_local, dtype=np.int64)
-        hits.extend((int(v + window.start), float(pred[v])) for v in valleys)
         actual_all.extend(int(a + window.start) for a in local_actual)
         if per_window:
             w_tp, w_fp, w_fn = match_peaks(valleys, local_actual, tol_ms, fs)
@@ -140,8 +164,7 @@ def evaluate_subject(model, test_windows: Sequence[Window], fs: float,
             detected_total += valleys.size
             actual_total += local_actual.size
 
-    min_gap = valley_params.refractory_ms * fs / 1000.0 / 2.0
-    detected_merged = merge_detections(hits, min_gap)
+    detected_merged = inference.merged()
     actual_merged = np.unique(np.asarray(actual_all, dtype=np.int64))
 
     if not per_window:
@@ -178,7 +201,7 @@ def evaluate_split(model, test_windows: Sequence[Window], fs: float,
     return PeakMatchReport(rows)
 
 
-def hrv_table(report: PeakMatchReport) -> list[tuple[str, str, HrvIndices]]:
+def hrv_table(report: PeakMatchReport) -> list[HrvRow]:
     """(subject, source, indices) rows for both derivations."""
     rows = []
     for r in report.rows:
@@ -189,35 +212,71 @@ def hrv_table(report: PeakMatchReport) -> list[tuple[str, str, HrvIndices]]:
     return rows
 
 
-def write_hrv_csv(report: PeakMatchReport, path: str | Path) -> None:
+def write_hrv_csv(rows: Sequence[HrvRow], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("subject,source,mean_nn_ms,sdnn_ms,rmssd_ms,pnn50\n")
-        for subject, source, idx in hrv_table(report):
+        fh.write(HRV_HEADER + "\n")
+        for subject, source, idx in rows:
             fh.write(f"{subject},{source},{idx.mean_nn!r},{idx.sdnn!r},"
                      f"{idx.rmssd!r},{idx.pnn50!r}\n")
 
 
-def agreement_by_index(report: PeakMatchReport) -> dict[str, "BlandAltmanStats"]:
+def read_hrv_csv(path: str | Path) -> list[HrvRow]:
+    """Rows of a table in the ``write_hrv_csv`` layout, validated strictly.
+
+    A wrong header, a row with the wrong field count, a non-numeric or
+    non-finite value, or a repeated (subject, source) pair raises
+    ``RecordFormatError`` naming the line. Blank lines are skipped.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"HRV table not found: {path}")
+    n_fields = 2 + len(HRV_INDEX_NAMES)
+    rows: dict[tuple[str, str], HrvIndices] = {}
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().strip() != HRV_HEADER:
+            raise RecordFormatError(f"{path}:1: expected the header {HRV_HEADER!r}")
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if parts == [""]:
+                continue
+            if len(parts) != n_fields:
+                raise RecordFormatError(
+                    f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            key = (parts[0], parts[1])
+            if key in rows:
+                raise RecordFormatError(f"{path}:{lineno}: duplicate row for {key}")
+            try:
+                values = [float(v) for v in parts[2:]]
+            except ValueError as exc:
+                raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise RecordFormatError(f"{path}:{lineno}: non-finite value")
+            rows[key] = HrvIndices(*values)
+    return [(subject, source, idx) for (subject, source), idx in rows.items()]
+
+
+def agreement_by_index(rows: Sequence[HrvRow]) -> dict[str, BlandAltmanStats]:
     """Bland-Altman statistics of SCG-derived vs ECG-derived indices.
 
-    One pair per subject with both derivations; indices with fewer than two
-    such subjects are omitted.
+    One pair per subject with both derivations, in order of first
+    appearance; indices with fewer than two such subjects are omitted.
     """
+    by_subject: dict[str, dict[str, HrvIndices]] = {}
+    for subject, source, idx in rows:
+        by_subject.setdefault(subject, {})[source] = idx
+    paired = [(s["scg"], s["ecg"]) for s in by_subject.values() if "scg" in s and "ecg" in s]
     stats = {}
     for name, attr in zip(HRV_INDEX_NAMES, ("mean_nn", "sdnn", "rmssd", "pnn50")):
-        pairs = [
-            (getattr(r.scg_hrv, attr), getattr(r.ecg_hrv, attr))
-            for r in report.rows
-            if r.scg_hrv is not None and r.ecg_hrv is not None
-        ]
+        pairs = [(getattr(scg, attr), getattr(ecg, attr)) for scg, ecg in paired]
         if len(pairs) >= 2:
             stats[name] = bland_altman(pairs)
     return stats
 
 
-def write_agreement_csv(report: PeakMatchReport, points_path: str | Path,
-                        summary_path: str | Path) -> None:
-    stats = agreement_by_index(report)
+def write_agreement_csv(rows: Sequence[HrvRow], points_path: str | Path,
+                        summary_path: str | Path) -> dict[str, BlandAltmanStats]:
+    """Write the Bland-Altman point and summary tables; returns the statistics."""
+    stats = agreement_by_index(rows)
     with open(points_path, "w", encoding="utf-8") as fh:
         fh.write("index,mean,diff\n")
         for name, st in stats.items():
@@ -228,3 +287,4 @@ def write_agreement_csv(report: PeakMatchReport, points_path: str | Path,
         for name, st in stats.items():
             fh.write(f"{name},{st.mean_diff!r},{st.sd_diff!r},{st.loa_low!r},"
                      f"{st.loa_high!r},{st.loa_range!r},{len(st.outliers)}\n")
+    return stats

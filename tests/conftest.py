@@ -38,6 +38,11 @@ def first_dim_offset(data: bytes) -> int:
     return pos + 4  # rank
 
 
+def first_name_last_byte(data: bytes) -> int:
+    """Offset of the last byte of the first tensor's name in checkpoint bytes."""
+    return first_dim_offset(data) - 5  # before the u32 rank
+
+
 class KinkProbe:
     """Record how close leaky-ReLU inputs come to the activation kink
     during a model forward pass (model-level gradient checks must run at

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import first_dim_offset
+from conftest import first_dim_offset, first_name_last_byte
 from seismonet.cli import main
 from seismonet.records import load_record
 
@@ -120,6 +120,49 @@ def test_agree_command_on_paired_table(workspace, tmp_path):
     assert len(points) == 1 + 4 * 3
 
 
+HRV_TABLE = ("subject,source,mean_nn_ms,sdnn_ms,rmssd_ms,pnn50\n"
+             "a,scg,850.0,50.0,40.0,0.10\n"
+             "a,ecg,852.0,48.0,41.0,0.09\n"
+             "b,scg,900.0,60.0,45.0,0.20\n"
+             "b,ecg,905.0,61.0,44.0,0.22\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace("subject,source", "subject,src"), ":1: expected the header"),
+    (lambda t: t.replace("a,ecg,852.0,", "a,ecg,"), ":3: expected 6 fields, got 5"),
+    (lambda t: t.replace("0.22", "abc"), ":5: could not convert string to float: 'abc'"),
+    (lambda t: t.replace("905.0", "inf"), ":5: non-finite value"),
+    (lambda t: t + "b,ecg,905.0,61.0,44.0,0.22\n", ":6: duplicate row"),
+], ids=["header", "ragged", "non_numeric", "non_finite", "duplicate"])
+def test_agree_rejects_malformed_table(workspace, tmp_path, capsys, edit, message):
+    tmp, config = workspace
+    table = tmp_path / "bad_hrv.csv"
+    table.write_text(edit(HRV_TABLE))
+    assert run(config, "agree", str(table)) == 1
+    assert f"{table}{message}" in capsys.readouterr().err
+    assert not (tmp / "out" / "bland_altman_summary.csv").exists()
+
+
+def test_agree_and_hrv_reproduce_eval_tables(workspace):
+    tmp, config = workspace
+    run(config, "synth")
+    run(config, "train")
+    # no prominence floor, so the briefly trained model detects beats and
+    # the Bland-Altman tables have rows
+    detect = ["--set", "eval.min_prominence=0", "--set", "eval.smoothing=3"]
+    assert main(["--config", str(config), *detect, "eval"]) == 0
+    out, again = tmp / "out", tmp / "again"
+    assert main(["--config", str(config), "--set", f"paths.out_dir={again}",
+                 "agree", str(out / "hrv.csv")]) == 0
+    for name in ("bland_altman_points.csv", "bland_altman_summary.csv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+    assert len((out / "bland_altman_points.csv").read_text().splitlines()) > 1
+
+    assert main(["--config", str(config), "--set", f"paths.out_dir={again}", "hrv"]) == 0
+    header = (out / "hrv.csv").read_text().splitlines()[0]
+    assert (again / "hrv.csv").read_text().splitlines()[0] == header
+
+
 def test_train_epochs_override(workspace):
     tmp, config = workspace
     run(config, "synth")
@@ -209,3 +252,15 @@ def test_corrupted_checkpoint_dim_exits_one(workspace, capsys):
     path.write_bytes(bytes(data))
     assert run(config, "eval") == 1
     assert "has shape" in capsys.readouterr().err
+
+
+def test_non_utf8_checkpoint_name_exits_one(workspace, capsys):
+    tmp, config = workspace
+    run(config, "synth")
+    run(config, "train", "--epochs", "1")
+    path = tmp / "out" / "model_final.smn"
+    data = bytearray(path.read_bytes())
+    data[first_name_last_byte(data)] = 0xFF
+    path.write_bytes(bytes(data))
+    assert run(config, "eval") == 1
+    assert "tensor name is not valid UTF-8" in capsys.readouterr().err

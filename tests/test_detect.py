@@ -1,12 +1,107 @@
-"""Valley detection, greedy matching, and ratio metrics."""
+"""Valley detection, greedy matching, and ratio metrics.
+
+The two quadratic thinning loops that ``detect.thin`` replaced are kept
+below as the reference: the refractory step of the old ``detect_valleys``
+and the old ``merge_detections``. Both scan every kept position for each
+candidate.
+"""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import peak_prominences
 
-from seismonet.detect import ValleyParams, detect_valleys, match_peaks, ppv, sensitivity
+from seismonet.detect import (
+    ValleyParams,
+    detect_valleys,
+    match_peaks,
+    ppv,
+    sensitivity,
+    thin,
+)
 from seismonet.errors import ValidationError
+from seismonet.evaluation import merge_detections
 from seismonet.windows import distance_transform
+
+
+# ----------------------------------------------------------------------
+# reference (quadratic) thinning
+# ----------------------------------------------------------------------
+
+def ref_detect_valleys(t_pred, fs, params=ValleyParams()):
+    signal = np.asarray(t_pred, dtype=np.float64)
+    if params.smoothing > 1:
+        kernel = np.ones(params.smoothing) / params.smoothing
+        signal = np.convolve(signal, kernel, mode="same")
+    interior = np.arange(1, signal.size - 1)
+    is_valley = (signal[interior] < signal[interior - 1]) & \
+                (signal[interior] < signal[interior + 1])
+    candidates = interior[is_valley]
+    if candidates.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if params.min_prominence > 0:
+        prominences = peak_prominences(-signal, candidates)[0]
+        candidates = candidates[prominences >= params.min_prominence]
+        if candidates.size == 0:
+            return np.zeros(0, dtype=np.int64)
+
+    gap = params.refractory_ms * fs / 1000.0
+    order = np.lexsort((candidates, signal[candidates]))
+    kept: list[int] = []
+    for idx in candidates[order]:
+        if all(abs(int(idx) - k) >= gap for k in kept):
+            kept.append(int(idx))
+    return np.asarray(sorted(kept), dtype=np.int64)
+
+
+def ref_merge(hits, min_gap):
+    kept: list[int] = []
+    for idx, _depth in sorted(hits, key=lambda h: (h[1], h[0])):
+        if all(abs(idx - k) >= min_gap for k in kept):
+            kept.append(idx)
+    return np.asarray(sorted(kept), dtype=np.int64)
+
+
+def assert_same(got, want):
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+# Few distinct positions and depths, so duplicates and ties are common.
+hit_lists = st.lists(st.tuples(st.integers(0, 60), st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0])),
+                     max_size=40)
+gaps = st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hits=hit_lists, gap=gaps)
+def test_thin_and_merge_match_reference(hits, gap):
+    want = ref_merge(hits, gap)
+    assert_same(merge_detections(hits, gap), want)
+    positions = np.array([h[0] for h in hits], dtype=np.int64)
+    depths = np.array([h[1] for h in hits], dtype=np.float64)
+    assert_same(thin(positions, depths, gap), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signal=st.lists(st.integers(0, 6).map(float), min_size=3, max_size=120),
+       fs=st.sampled_from([10.0, 50.0, 100.0, 250.0]),
+       refractory_ms=st.floats(1.0, 300.0),
+       smoothing=st.sampled_from([0, 3]),
+       min_prominence=st.sampled_from([0.0, 0.5]))
+def test_detect_valleys_matches_reference(signal, fs, refractory_ms, smoothing,
+                                          min_prominence):
+    params = ValleyParams(min_prominence=min_prominence, refractory_ms=refractory_ms,
+                          smoothing=smoothing)
+    assert_same(detect_valleys(np.array(signal), fs, params),
+                ref_detect_valleys(signal, fs, params))
+
+
+def test_thin_empty():
+    assert_same(thin(np.zeros(0, dtype=np.int64), np.zeros(0), 5.0), np.zeros(0))
+    assert_same(merge_detections([], 5.0), np.zeros(0))
 
 
 def exhaustive_max_matching(detected, actual, tol):

@@ -6,17 +6,19 @@ from seismonet.detect import ValleyParams
 from seismonet.errors import ValidationError
 from seismonet.evaluation import (
     PeakMatchReport,
+    RecordInference,
     SubjectScore,
     agreement_by_index,
     evaluate_split,
     evaluate_subject,
     hrv_table,
     merge_detections,
+    read_hrv_csv,
     write_agreement_csv,
     write_hrv_csv,
 )
 from seismonet.synth import SynthParams, synth_record
-from seismonet.windows import labeled_only, segment_windows, split_dataset
+from seismonet.windows import Window, labeled_only, segment_windows, split_dataset
 
 
 def oracle_model(window):
@@ -88,6 +90,27 @@ def test_merge_detections_keeps_deeper():
     np.testing.assert_array_equal(merged, [104, 300])
 
 
+def test_record_inference_streams_and_merges_at_half_refractory():
+    # 200 ms refractory at 100 Hz: windows thin at 20 samples, the merge
+    # across windows at 10. Valleys at record indices 50 and 65 both stay.
+    windows = [Window("s", start, np.zeros(100)) for start in (0, 40)]
+    valley_at = {0: 50, 40: 65}
+    calls = []
+
+    def predictor(window):
+        calls.append(window.start)
+        return np.abs(np.arange(100.0) - (valley_at[window.start] - window.start))
+
+    inference = RecordInference(predictor, windows, 100.0, ValleyParams())
+    steps = iter(inference)
+    window, pred, valleys = next(steps)
+    assert calls == [0]  # one window predicted per step
+    assert window.start == 0 and pred.size == 100
+    np.testing.assert_array_equal(valleys, [50])
+    assert [w.start for w, _, _ in steps] == [40]
+    np.testing.assert_array_equal(inference.merged(), [50, 65])
+
+
 def test_hrv_pair_produced_per_subject():
     test_windows = synthetic_test_windows()
     report = evaluate_split(oracle_model, test_windows, fs=100.0)
@@ -102,7 +125,7 @@ def test_hrv_pair_produced_per_subject():
 def test_agreement_stats_for_perfect_detector():
     test_windows = synthetic_test_windows(n_subjects=3)
     report = evaluate_split(oracle_model, test_windows, fs=100.0)
-    stats = agreement_by_index(report)
+    stats = agreement_by_index(hrv_table(report))
     assert set(stats) == {"mean_nn_ms", "sdnn_ms", "rmssd_ms", "pnn50"}
     for st in stats.values():
         assert st.mean_diff == pytest.approx(0.0, abs=1e-9)
@@ -124,14 +147,26 @@ def test_report_csv_layout(tmp_path):
 def test_output_csv_files(tmp_path):
     test_windows = synthetic_test_windows(n_subjects=3)
     report = evaluate_split(oracle_model, test_windows, fs=100.0)
-    write_hrv_csv(report, tmp_path / "hrv.csv")
-    write_agreement_csv(report, tmp_path / "pts.csv", tmp_path / "sum.csv")
+    write_hrv_csv(hrv_table(report), tmp_path / "hrv.csv")
+    write_agreement_csv(hrv_table(report), tmp_path / "pts.csv", tmp_path / "sum.csv")
     hrv_lines = (tmp_path / "hrv.csv").read_text().strip().splitlines()
     assert hrv_lines[0] == "subject,source,mean_nn_ms,sdnn_ms,rmssd_ms,pnn50"
     assert len(hrv_lines) == 1 + 2 * 3
     sum_lines = (tmp_path / "sum.csv").read_text().strip().splitlines()
     assert sum_lines[0].startswith("index,mean_diff,sd_diff")
     assert len(sum_lines) == 5
+
+
+def test_hrv_csv_round_trip(tmp_path):
+    report = evaluate_split(oracle_model, synthetic_test_windows(n_subjects=3), fs=100.0)
+    rows = hrv_table(report)
+    write_hrv_csv(rows, tmp_path / "hrv.csv")
+    assert read_hrv_csv(tmp_path / "hrv.csv") == rows
+
+
+def test_read_hrv_csv_missing_file(tmp_path):
+    with pytest.raises(ValidationError, match="not found"):
+        read_hrv_csv(tmp_path / "absent.csv")
 
 
 def test_empty_windows_rejected():

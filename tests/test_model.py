@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import first_dim_offset
+from conftest import first_dim_offset, first_name_last_byte
 from seismonet.checkpoint import load_checkpoint, save_checkpoint
 from seismonet.errors import ConfigError, RecordFormatError, ValidationError
 from seismonet.model import (
@@ -285,6 +285,28 @@ def test_checkpoint_unknown_tensor_rejected(tmp_path):
     data[pos:pos + 1] = b"?"
     path.write_bytes(bytes(data))
     with pytest.raises(RecordFormatError, match="unexpected tensor"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_utf8_tensor_name_rejected(tmp_path):
+    path = tmp_path / "utf8.smn"
+    save_checkpoint(build_model(ModelConfig(input_len=64, levels=2, base_channels=4),
+                                seed=0), path)
+    data = bytearray(path.read_bytes())
+    data[first_name_last_byte(data)] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(RecordFormatError, match="tensor name is not valid UTF-8"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_utf8_config_block_rejected(tmp_path):
+    path = tmp_path / "utf8.smn"
+    save_checkpoint(build_model(ModelConfig(input_len=64, levels=2, base_channels=4),
+                                seed=0), path)
+    data = bytearray(path.read_bytes())
+    data[12] = 0xFF  # the config block's first byte, after magic, version, length
+    path.write_bytes(bytes(data))
+    with pytest.raises(RecordFormatError, match="config block is not valid UTF-8"):
         load_checkpoint(path)
 
 
