@@ -8,6 +8,7 @@ loaded model reproduces the saved model's forward outputs bit for bit.
 """
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -105,9 +106,11 @@ class _Reader:
     def __init__(self, fh, path: Path):
         self.fh = fh
         self.path = path
+        self.size = os.fstat(fh.fileno()).st_size
 
     def exact(self, n: int) -> bytes:
-        data = self.fh.read(n)
+        # A corrupted length fails here, before a buffer of that size exists.
+        data = self.fh.read(n) if n <= self.size - self.fh.tell() else b""
         if len(data) != n:
             raise RecordFormatError(f"{self.path}: truncated checkpoint file")
         return data

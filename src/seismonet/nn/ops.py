@@ -10,19 +10,42 @@ with the same stride and padding:
     input gradient        dxpad[b,i,s*l+j] += sum_o w[o,i,j] dy[b,o,l]
     weight gradient       dw[o,i,j] = sum_{b,l} dy[b,o,l] xpad[b,i,s*l+j]
 
-Each kernel loops over the taps j and does one batched GEMM per tap, with
-W_j = w[:, :, j] made contiguous once per call:
+Each kernel has two implementations. The per-tap family loops over the taps
+j and does one batched GEMM per tap, with W_j = w[:, :, j] made contiguous
+once per call (an accumulating GEMM per tap, Anderson et al. 2017):
 
     forward               y += W_j @ xpad[:, :, j::s]
     input gradient        dxpad[:, :, j::s] += W_j^T @ dy
     weight gradient       dw[:, :, j] = sum_b dy_b @ xpad_b[:, j::s]^T
 
-No im2col copy is built. For stride s > 1 the input is first split into s
+It builds no im2col copy. For stride s > 1 the input is first split into s
 contiguous phases x[:, :, r::s], so every tap reads a unit-stride view of
 one phase (a BLAS operand without a copy); the input gradient accumulates
 into strided phase views of one buffer whose flat layout is dx itself. The
 zero padding is never materialized: each tap covers only the output
 positions whose reads land inside the input.
+
+The column family (im2col, Chellapilla et al. 2006) builds one buffer
+cols[(i, j), (b, l)] = xpad[b, i, s*l + j] of shape (in*k, batch*n_out),
+zero where a tap reads padding, with the batch folded into the GEMM's
+N dimension, and does one 2-D GEMM per kernel:
+
+    forward               y = W(o, i*k) @ cols, transposed back to (b, o, n)
+    input gradient        dcols = W(o, i*k)^T @ dy(o, b*n), then k strided adds
+    weight gradient       dw = dy(o, b*n) @ cols^T, reshaped to (o, i, k)
+
+The backward rebuilds cols rather than keeping it on the tape: holding
+every wide layer's buffer until the backward pass would add about 100 MB to
+a paper-default training step at batch 16.
+
+The family follows from the correlation weight shape (out, in, k) alone, so
+a layer's forward and backward always use the same one: columns when
+out >= 128 or in < 4, per-tap otherwise. Wide layers have short outputs
+(79-313 columns per window at the paper's shapes), and folding the batch
+gives their GEMMs a long N; a single input channel makes each per-tap GEMM
+rank 1, where one rank-k GEMM is several times faster. On the narrow
+layers the column copy costs more than the GEMMs it feeds (the o=10, i=32,
+k=5 weight gradient at length 1250, batch 16, takes about 3.5x as long).
 
 Weight layouts: (out_ch, in_ch, kernel) for ``conv1d`` and
 (in_ch, out_ch, kernel) for ``conv_transpose1d``, so a shared buffer makes
@@ -88,10 +111,42 @@ def _phases(x: np.ndarray, stride: int) -> list[np.ndarray]:
     return [np.ascontiguousarray(x[:, :, r::stride]) for r in range(stride)]
 
 
+def _use_columns(out_ch: int, in_ch: int) -> bool:
+    """True when correlation weights (out_ch, in_ch, k) use the column family.
+
+    Wide layers gain a long GEMM N by folding the batch; few input channels
+    give k GEMMs of inner dimension in_ch, which one GEMM of inner dimension
+    in_ch*k replaces.
+    """
+    return out_ch >= 128 or in_ch < 4
+
+
+def _columns(x: np.ndarray, kernel: int, stride: int, padding: int,
+             n_out: int) -> np.ndarray:
+    """cols[(i, j), (b, l)] = xpad[b, i, s*l + j], shape (in*kernel, batch*n_out)."""
+    b, in_ch, in_len = x.shape
+    cols = np.zeros((in_ch, kernel, b, n_out), dtype=x.dtype)
+    for j, r, q, lo, hi in _taps(kernel, stride, padding, in_len, n_out):
+        start = stride * (lo + q) + r
+        src = x[:, :, start:start + stride * (hi - lo - 1) + 1:stride]
+        cols[:, j, :, lo:hi] = src.transpose(1, 0, 2)
+    return cols.reshape(in_ch * kernel, b * n_out)
+
+
+def _fold(dy: np.ndarray) -> np.ndarray:
+    """(batch, ch, n) -> (ch, batch*n), the GEMM operand of the column family."""
+    b, ch, n = dy.shape
+    return np.ascontiguousarray(dy.transpose(1, 0, 2)).reshape(ch, b * n)
+
+
 def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    b, _, in_len = x.shape
+    b, in_ch, in_len = x.shape
     out_ch, _, kernel = w.shape
     n_out = (in_len + 2 * padding - kernel) // stride + 1
+    if _use_columns(out_ch, in_ch):
+        cols = _columns(x, kernel, stride, padding, n_out)
+        y = w.reshape(out_ch, in_ch * kernel) @ cols
+        return np.ascontiguousarray(y.reshape(out_ch, b, n_out).transpose(1, 0, 2))
     w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (kernel, out, in)
     phases = _phases(x, stride)
     y = np.zeros((b, out_ch, n_out), dtype=np.result_type(x, w))
@@ -103,13 +158,19 @@ def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np
 def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
                      input_len: int) -> np.ndarray:
     b, _, n_out = dy.shape
-    _, in_ch, kernel = w.shape
-    w_taps = np.ascontiguousarray(w.transpose(2, 1, 0))  # (kernel, in, out)
+    out_ch, in_ch, kernel = w.shape
     # dx[:, :, r + stride*t] is dxp[:, :, t, r]: phase r is a strided view.
     phase_len = -(-input_len // stride)
     dxp = np.zeros((b, in_ch, phase_len, stride), dtype=np.result_type(dy, w))
-    for j, r, q, lo, hi in _taps(kernel, stride, padding, input_len, n_out):
-        dxp[:, :, lo + q:hi + q, r] += w_taps[j] @ dy[:, :, lo:hi]
+    if _use_columns(out_ch, in_ch):
+        dcols = w.reshape(out_ch, in_ch * kernel).T @ _fold(dy)
+        dcols = dcols.reshape(in_ch, kernel, b, n_out).transpose(2, 0, 1, 3)
+        for j, r, q, lo, hi in _taps(kernel, stride, padding, input_len, n_out):
+            dxp[:, :, lo + q:hi + q, r] += dcols[:, :, j, lo:hi]
+    else:
+        w_taps = np.ascontiguousarray(w.transpose(2, 1, 0))  # (kernel, in, out)
+        for j, r, q, lo, hi in _taps(kernel, stride, padding, input_len, n_out):
+            dxp[:, :, lo + q:hi + q, r] += w_taps[j] @ dy[:, :, lo:hi]
     return dxp.reshape(b, in_ch, phase_len * stride)[:, :, :input_len]
 
 
@@ -117,8 +178,12 @@ def _corr_weight_grad(dy: np.ndarray, x: np.ndarray, stride: int, padding: int,
                       kernel: int) -> np.ndarray:
     in_len = x.shape[2]
     _, out_ch, n_out = dy.shape
+    in_ch = x.shape[1]
+    if _use_columns(out_ch, in_ch):
+        cols = _columns(x, kernel, stride, padding, n_out)
+        return (_fold(dy) @ cols.T).reshape(out_ch, in_ch, kernel)
     phases = _phases(x, stride)
-    dw = np.zeros((out_ch, x.shape[1], kernel), dtype=np.result_type(dy, x))
+    dw = np.zeros((out_ch, in_ch, kernel), dtype=np.result_type(dy, x))
     for j, r, q, lo, hi in _taps(kernel, stride, padding, in_len, n_out):
         xt = phases[r][:, :, lo + q:hi + q].transpose(0, 2, 1)
         dw[:, :, j] = (dy[:, :, lo:hi] @ xt).sum(axis=0)
@@ -221,38 +286,45 @@ def batchnorm1d(x: SignalTensor, state: BatchNormState, training: bool,
             f"channel mismatch: input has {x.channels}, state has {state.channels}")
     gamma = state.gamma
     beta = state.beta
+    m = x.batch * x.length
 
     if training:
-        m = x.batch * x.length
         if m < 2:
             raise ValidationError("training-mode batch norm needs batch*length >= 2")
         mean = x.values.mean(axis=(0, 2))
-        var = x.values.var(axis=(0, 2))
-        inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.values - mean[None, :, None]) * inv_std[None, :, None]
+        xhat = x.values - mean[None, :, None]
+        var = np.einsum("bcl,bcl->c", xhat, xhat) / m
         mom = state.momentum
         state.running_mean = (1 - mom) * state.running_mean + mom * mean
         state.running_var = (1 - mom) * state.running_var + mom * var * (m / (m - 1))
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x.values - state.running_mean[None, :, None]) * inv_std[None, :, None]
+        mean, var = state.running_mean, state.running_var
+        xhat = x.values - mean[None, :, None]
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    xhat *= inv_std[None, :, None]
 
-    y = SignalTensor(gamma.values[None, :, None] * xhat + beta.values[None, :, None])
+    # Without a tape nothing reads xhat again, so y takes over its buffer.
+    y_values = np.multiply(xhat, gamma.values[None, :, None],
+                           out=xhat if tape is None else None)
+    y_values += beta.values[None, :, None]
+    y = SignalTensor(y_values)
 
     if tape is not None:
         def backward():
             dy = y.grad
-            gamma.grad += (dy * xhat).sum(axis=(0, 2))
-            beta.grad += dy.sum(axis=(0, 2))
-            dxhat = dy * gamma.values[None, :, None]
+            sum_dy = dy.sum(axis=(0, 2))
+            sum_dy_xhat = np.einsum("bcl,bcl->c", dy, xhat)
+            gamma.grad += sum_dy_xhat
+            beta.grad += sum_dy
+            scale = gamma.values * inv_std
             if training:
-                n = x.batch * x.length
-                sum_dxhat = dxhat.sum(axis=(0, 2), keepdims=True)
-                sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-                x.grad += (inv_std[None, :, None] / n) * (
-                    n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+                # dx = scale/m * (m*dy - sum(dy) - xhat*sum(dy*xhat))
+                dx = dy * scale[None, :, None]
+                dx -= (scale / m * sum_dy)[None, :, None]
+                dx -= xhat * (scale / m * sum_dy_xhat)[None, :, None]
+                x.grad += dx
             else:
-                x.grad += dxhat * inv_std[None, :, None]
+                x.grad += dy * scale[None, :, None]
         tape.record(backward)
     return y
 

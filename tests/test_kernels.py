@@ -1,20 +1,28 @@
-"""Per-tap convolution kernels against the im2col reference they replaced.
+"""Both convolution kernel families against a padded im2col reference.
 
 The reference kernels below build the full im2col copy (forward), scatter
 the per-column gradient back tap by tap (input gradient) and contract the
 sliding windows with ``tensordot`` (weight gradient). The production kernels
-sum the same products in a different order, so the comparison uses a
-tolerance fixed by the dtype, relative to the reference's largest magnitude.
+(per-tap or column GEMMs, chosen from the weight shape) sum the same products
+in a different order, so the comparison uses a tolerance fixed by the dtype,
+relative to the reference's largest magnitude.
 """
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from seismonet.nn import ConvSpec, Parameter, SignalTensor, Tape, conv1d, conv_transpose1d
-from seismonet.nn.ops import _corr_forward, _corr_input_grad, _corr_weight_grad
+from seismonet.nn.ops import _corr_forward, _corr_input_grad, _corr_weight_grad, _use_columns
 
 TOL = {np.float32: 1e-5, np.float64: 1e-12}
 CASES = 60
+# (in_ch, out_ch) ranges, half-open, and case counts: the first reaches both
+# kernel families, the second only the per-tap family, the last two (wide
+# outputs, few inputs) only the column family.
+CHANNELS = [((1, 5), (1, 5), CASES), ((4, 9), (1, 9), 20),
+            ((1, 6), (128, 131), 20), ((1, 4), (4, 9), 20)]
 
 
 # ----------------------------------------------------------------------
@@ -61,18 +69,35 @@ def ref_weight_grad(dy, x, stride, padding, kernel):
 # helpers
 # ----------------------------------------------------------------------
 
-def random_case(rng, dtype):
+def random_case(rng, dtype, in_range, out_range):
     """One random conv geometry with arrays for it; output length >= 1."""
     kernel = int(rng.choice([1, 3, 5, 7]))
     stride = int(rng.integers(1, 4))
     padding = int(rng.integers(0, kernel // 2 + 1))
-    batch, in_ch, out_ch = (int(v) for v in rng.integers(1, 5, size=3))
+    batch = int(rng.integers(1, 5))
+    in_ch, out_ch = int(rng.integers(*in_range)), int(rng.integers(*out_range))
     length = int(rng.integers(max(1, kernel - 2 * padding), 40))
     n_out = (length + 2 * padding - kernel) // stride + 1
     x = rng.normal(size=(batch, in_ch, length)).astype(dtype)
     w = rng.normal(size=(out_ch, in_ch, kernel)).astype(dtype)
     dy = rng.normal(size=(batch, out_ch, n_out)).astype(dtype)
     return x, w, dy, stride, padding
+
+
+def cases(rng, dtype):
+    """Random cases over every ``CHANNELS`` range, in order."""
+    for in_range, out_range, count in CHANNELS:
+        for _ in range(count):
+            yield random_case(rng, dtype, in_range, out_range)
+
+
+def family(w):
+    """The kernel family the rule picks for correlation weights w."""
+    return "column" if _use_columns(*w.shape[:2]) else "per-tap"
+
+
+def assert_both_families(checked: Counter):
+    assert checked["column"] > 0 and checked["per-tap"] > 0, checked
 
 
 def assert_close(actual, reference, dtype):
@@ -89,9 +114,9 @@ def assert_close(actual, reference, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_kernels_match_reference(dtype):
-    rng = np.random.default_rng(20261018)
-    for _ in range(CASES):
-        x, w, dy, stride, padding = random_case(rng, dtype)
+    checked = Counter()
+    for x, w, dy, stride, padding in cases(np.random.default_rng(20261018), dtype):
+        checked[family(w)] += 1
         length, kernel = x.shape[2], w.shape[2]
         assert_close(_corr_forward(x, w, stride, padding),
                      ref_forward(x, w, stride, padding), dtype)
@@ -99,6 +124,7 @@ def test_kernels_match_reference(dtype):
                      ref_input_grad(dy, w, stride, padding, length), dtype)
         assert_close(_corr_weight_grad(dy, x, stride, padding, kernel),
                      ref_weight_grad(dy, x, stride, padding, kernel), dtype)
+    assert_both_families(checked)
 
 
 def test_input_grad_leaves_unreached_tail_zero():
@@ -117,8 +143,9 @@ def test_input_grad_leaves_unreached_tail_zero():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv1d_matches_reference(dtype):
     rng = np.random.default_rng(7)
-    for _ in range(CASES):
-        x, w, dy, stride, padding = random_case(rng, dtype)
+    checked = Counter()
+    for x, w, dy, stride, padding in cases(rng, dtype):
+        checked[family(w)] += 1
         out_ch, in_ch, kernel = w.shape
         bias = rng.normal(size=out_ch).astype(dtype)
         xt, wt, bt = SignalTensor(x), Parameter(w), Parameter(bias)
@@ -131,19 +158,21 @@ def test_conv1d_matches_reference(dtype):
         assert_close(xt.grad, ref_input_grad(dy, w, stride, padding, x.shape[2]), dtype)
         assert_close(wt.grad, ref_weight_grad(dy, x, stride, padding, kernel), dtype)
         assert_close(bt.grad, dy.sum(axis=(0, 2)), dtype)
+    assert_both_families(checked)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_transpose1d_matches_reference(dtype):
     rng = np.random.default_rng(8)
-    for _ in range(CASES):
-        # the conv case's output is the transposed conv's input and vice versa
-        out_grad, w, x, stride, padding = random_case(rng, dtype)
+    checked = Counter()
+    # the conv case's output is the transposed conv's input and vice versa
+    for out_grad, w, x, stride, padding in cases(rng, dtype):
         in_ch, out_ch, kernel = w.shape
         out_len = out_grad.shape[2]
         spec = ConvSpec(in_ch, out_ch, kernel, stride, padding, transposed=True)
         if spec.out_length(x.shape[2]) != out_len:
             continue  # the conv's length rounded down; not a transposed-conv shape
+        checked[family(w)] += 1
         bias = rng.normal(size=out_ch).astype(dtype)
         xt, wt, bt = SignalTensor(x), Parameter(w), Parameter(bias)
         tape = Tape()
@@ -156,3 +185,4 @@ def test_conv_transpose1d_matches_reference(dtype):
         assert_close(xt.grad, ref_forward(out_grad, w, stride, padding), dtype)
         assert_close(wt.grad, ref_weight_grad(x, out_grad, stride, padding, kernel), dtype)
         assert_close(bt.grad, out_grad.sum(axis=(0, 2)), dtype)
+    assert_both_families(checked)

@@ -1,10 +1,12 @@
 """Architecture arithmetic, block behavior, and checkpoint round trips."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import first_dim_offset, first_name_last_byte
 from seismonet.checkpoint import load_checkpoint, save_checkpoint
-from seismonet.errors import ConfigError, RecordFormatError, ValidationError
+from seismonet.errors import ConfigError, RecordFormatError, SeismoNetError, ValidationError
 from seismonet.model import (
     InceptionResidualBlock,
     ModelConfig,
@@ -308,6 +310,58 @@ def test_checkpoint_non_utf8_config_block_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(RecordFormatError, match="config block is not valid UTF-8"):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def desk_checkpoint(tmp_path_factory):
+    """The bytes of a saved desk-scale model (levels 3, base 8, 200 samples)."""
+    path = tmp_path_factory.mktemp("desk") / "desk.smn"
+    save_checkpoint(build_model(ModelConfig(input_len=200, levels=3, base_channels=8),
+                                seed=11), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("offset", [
+    pytest.param(lambda data: 8, id="config_block"),  # after magic and version
+    pytest.param(lambda data: 12 + int.from_bytes(data[8:12], "little"), id="tensor_name"),
+])
+def test_checkpoint_oversized_length_is_truncation(tmp_path, desk_checkpoint, offset):
+    data = bytearray(desk_checkpoint)
+    pos = offset(data)
+    data[pos:pos + 4] = (0x7FFFFFF0).to_bytes(4, "little")
+    path = tmp_path / "long.smn"
+    path.write_bytes(bytes(data))
+    with pytest.raises(RecordFormatError, match="truncated checkpoint file"):
+        load_checkpoint(path)
+
+
+_CORRUPTION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20), st.just(0)),
+    st.tuples(st.just("set"), st.integers(0, 1 << 20), st.integers(0, 255)),
+    # the headers (magic, version, config block, first tensor) are the
+    # first few hundred bytes; hit them as often as the payload
+    st.tuples(st.just("set"), st.integers(0, 600), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corruption=_CORRUPTION)
+def test_corrupted_checkpoint_loads_or_raises_package_error(tmp_path, desk_checkpoint,
+                                                            corruption):
+    kind, pos, value = corruption
+    data = bytearray(desk_checkpoint)
+    pos %= len(data)
+    if kind == "truncate":
+        del data[pos:]
+    else:
+        data[pos] = value
+    path = tmp_path / "fuzz.smn"
+    path.write_bytes(bytes(data))
+    try:
+        load_checkpoint(path)
+    except SeismoNetError:
+        pass
 
 
 def test_checkpoint_config_travels(tmp_path):
