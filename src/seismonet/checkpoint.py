@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import RecordFormatError, ValidationError
+from .fieldcodec import formatter, parser
 from .model import ModelConfig, SeismoNet, build_model
 
 MAGIC = b"SMN1"
@@ -22,27 +24,13 @@ VERSION = 1
 
 
 def _config_text(config: ModelConfig, epoch: int) -> str:
-    lines = [
-        f"input_len={config.input_len}",
-        f"levels={config.levels}",
-        f"base_channels={config.base_channels}",
-        f"conv_kernel={config.conv_kernel}",
-        f"down_kernel={config.down_kernel}",
-        f"up_kernel={config.up_kernel}",
-        f"down_stride={config.down_stride}",
-        f"entry_channels={config.resolved_entry_channels}",
-        f"entry_kernel={config.entry_kernel}",
-        f"inception_kernels={','.join(str(k) for k in config.inception_kernels)}",
-        f"leaky_slope={config.leaky_slope!r}",
-        f"bn_momentum={config.bn_momentum!r}",
-        f"bn_eps={config.bn_eps!r}",
-        f"epoch={epoch}",
-    ]
-    return "\n".join(lines) + "\n"
+    lines = [f"{field.name}={formatter(field)(getattr(config, field.name))}"
+             for field in fields(ModelConfig)]
+    return "\n".join([*lines, f"epoch={epoch}"]) + "\n"
 
 
 def _parse_config_text(text: str, path: Path) -> tuple[ModelConfig, int]:
-    fields: dict[str, str] = {}
+    values: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -50,25 +38,11 @@ def _parse_config_text(text: str, path: Path) -> tuple[ModelConfig, int]:
         if "=" not in line:
             raise RecordFormatError(f"{path}: malformed config line {line!r}")
         key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+        values[key.strip()] = value.strip()
     try:
-        epoch = int(fields.pop("epoch", "0"))
-        config = ModelConfig(
-            input_len=int(fields["input_len"]),
-            levels=int(fields["levels"]),
-            base_channels=int(fields["base_channels"]),
-            conv_kernel=int(fields["conv_kernel"]),
-            down_kernel=int(fields["down_kernel"]),
-            up_kernel=int(fields["up_kernel"]),
-            down_stride=int(fields["down_stride"]),
-            entry_channels=int(fields["entry_channels"]),
-            entry_kernel=int(fields["entry_kernel"]),
-            inception_kernels=tuple(
-                int(k) for k in fields["inception_kernels"].split(",")),
-            leaky_slope=float(fields["leaky_slope"]),
-            bn_momentum=float(fields["bn_momentum"]),
-            bn_eps=float(fields["bn_eps"]),
-        )
+        epoch = int(values.pop("epoch", "0"))
+        config = ModelConfig(**{field.name: parser(field)(values[field.name])
+                                for field in fields(ModelConfig)})
     except KeyError as exc:
         raise RecordFormatError(f"{path}: config block missing field {exc}") from None
     except ValueError as exc:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig, load_config
+from .detect import ValleyParams
 from .errors import (
     ConfigError,
     InsufficientDataError,
@@ -28,7 +29,7 @@ from .evaluation import (
     write_hrv_csv,
 )
 from .hrv import hrv_indices, nn_intervals
-from .model import build_model
+from .model import ModelConfig, build_model
 from .records import (
     Record,
     annotate_ecg_rpeaks,
@@ -37,7 +38,7 @@ from .records import (
     write_record,
 )
 from .synth import synth_record
-from .training import train
+from .training import TrainConfig, train
 from .windows import labeled_only, segment_windows, split_dataset
 
 
@@ -84,11 +85,11 @@ def cmd_train(cfg: RunConfig) -> int:
     if not split.train:
         raise InsufficientDataError("no labeled training windows")
     input_len = split.train[0].length
-    model = build_model(cfg.model_config(input_len), seed=cfg["train.seed"])
+    model = build_model(cfg.section(ModelConfig, input_len=input_len), seed=cfg["train.seed"])
 
     out_dir = cfg.out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, history = train(model, split, cfg.train_config(), checkpoint_dir=out_dir)
+    model, history = train(model, split, cfg.section(TrainConfig), checkpoint_dir=out_dir)
     history.to_csv(out_dir / "history.csv")
     last = history.records[-1]
     print(f"trained {len(history)} epochs; final train loss {last.train_loss:.6f}, "
@@ -104,7 +105,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not split.test:
         raise InsufficientDataError("test split is empty")
     fs = cfg.effective_fs()
-    report = evaluate_split(model, split.test, fs, cfg.valley_params(),
+    report = evaluate_split(model, split.test, fs, cfg.section(ValleyParams),
                             tol_ms=cfg["eval.tol_ms"],
                             per_window=cfg["eval.per_window"])
     out_dir = cfg.out_dir()
@@ -136,7 +137,7 @@ def cmd_infer(cfg: RunConfig, record_path: str) -> int:
 
     out_dir = cfg.out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    inference = RecordInference(model, windows, record.fs, cfg.valley_params())
+    inference = RecordInference(model, windows, record.fs, cfg.section(ValleyParams))
     pred_path = out_dir / f"pred_{record.subject_id}.csv"
     with open(pred_path, "w", encoding="utf-8") as fh:
         fh.write("window_start,offset,t_pred\n")

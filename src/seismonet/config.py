@@ -6,27 +6,36 @@ config is valid; ``--set key=value`` overrides individual entries.
 """
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 from .detect import ValleyParams
 from .errors import ConfigError
+from .fieldcodec import parse_bool, parse_float, parser, settable
 from .model import ModelConfig
 from .synth import SynthParams
 from .training import TrainConfig
 
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+T = TypeVar("T")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+# Each settable field of these dataclasses is the key <section>.<field>,
+# parsed by the codec of its annotation, with the field's default.
+SECTIONS = {ModelConfig: "model", TrainConfig: "train", ValleyParams: "eval",
+            SynthParams: "synth"}
+
+
+def _field_keys(cls: type, **defaults: Any) -> dict[str, tuple[Callable[[str], Any], Any]]:
+    return {f"{SECTIONS[cls]}.{f.name}": (parser(f), defaults.get(f.name, f.default))
+            for f in filter(settable, fields(cls))}
 
 
 # key -> (parser, default)
@@ -34,44 +43,23 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     "paths.data_dir": (str, "data"),
     "paths.out_dir": (str, "out"),
     "paths.checkpoint": (str, ""),
-    "sampling.source_fs": (float, 250.0),
-    "sampling.target_fs": (float, 0.0),
-    "dataset.window_sec": (float, 10.0),
-    "dataset.hop_sec": (float, 5.0),
-    "dataset.train_ratio": (float, 0.6),
-    "dataset.val_ratio": (float, 0.2),
-    "dataset.test_ratio": (float, 0.2),
-    "dataset.dt_clip": (float, 0.0),
-    "dataset.drop_boundary": (_parse_bool, True),
-    "model.levels": (int, 5),
-    "model.base_channels": (int, 32),
-    "model.conv_kernel": (int, 3),
-    "model.down_kernel": (int, 5),
-    "model.up_kernel": (int, 5),
-    "model.down_stride": (int, 2),
-    "model.entry_kernel": (int, 7),
-    "model.inception_kernels": (_parse_int_list, (1, 3, 5)),
-    "model.leaky_slope": (float, 0.01),
-    "train.epochs": (int, 300),
-    "train.lr0": (float, 0.001),
-    "train.schedule_step": (int, 100),
-    "train.schedule_factor": (float, 10.0),
-    "train.batch_size": (int, 16),
-    "train.seed": (int, 0),
-    "train.shuffle": (_parse_bool, True),
-    "train.checkpoint_every": (int, 100),
-    "eval.tol_ms": (float, 90.0),
-    "eval.min_prominence": (float, 0.0),
-    "eval.refractory_ms": (float, 200.0),
-    "eval.smoothing": (int, 0),
-    "eval.per_window": (_parse_bool, False),
-    "synth.subjects": (int, 3),
-    "synth.fs": (float, 250.0),
-    "synth.duration_s": (float, 60.0),
-    "synth.mean_hr_bpm": (float, 70.0),
-    "synth.hr_jitter": (float, 0.05),
-    "synth.scg_noise_sigma": (float, 0.1),
-    "synth.seed": (int, 0),
+    "sampling.source_fs": (parse_float, 250.0),
+    "sampling.target_fs": (parse_float, 0.0),
+    "dataset.window_sec": (parse_float, 10.0),
+    "dataset.hop_sec": (parse_float, 5.0),
+    "dataset.train_ratio": (parse_float, 0.6),
+    "dataset.val_ratio": (parse_float, 0.2),
+    "dataset.test_ratio": (parse_float, 0.2),
+    "dataset.dt_clip": (parse_float, 0.0),
+    "dataset.drop_boundary": (parse_bool, True),
+    **_field_keys(ModelConfig),
+    **_field_keys(TrainConfig),
+    "eval.tol_ms": (parse_float, 90.0),
+    **_field_keys(ValleyParams),
+    "eval.per_window": (parse_bool, False),
+    "synth.subjects": (_parse_count, 3),
+    # SynthParams has no default record rate or length.
+    **_field_keys(SynthParams, fs=250.0, duration_s=60.0),
 }
 
 
@@ -121,51 +109,18 @@ class RunConfig:
         clip = self["dataset.dt_clip"]
         return clip if clip > 0 else None
 
-    def model_config(self, input_len: int) -> ModelConfig:
-        return ModelConfig(
-            input_len=input_len,
-            levels=self["model.levels"],
-            base_channels=self["model.base_channels"],
-            conv_kernel=self["model.conv_kernel"],
-            down_kernel=self["model.down_kernel"],
-            up_kernel=self["model.up_kernel"],
-            down_stride=self["model.down_stride"],
-            entry_kernel=self["model.entry_kernel"],
-            inception_kernels=self["model.inception_kernels"],
-            leaky_slope=self["model.leaky_slope"],
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self["train.epochs"],
-            lr0=self["train.lr0"],
-            schedule_step=self["train.schedule_step"],
-            schedule_factor=self["train.schedule_factor"],
-            batch_size=self["train.batch_size"],
-            seed=self["train.seed"],
-            shuffle=self["train.shuffle"],
-            checkpoint_every=self["train.checkpoint_every"],
-        )
-
-    def valley_params(self) -> ValleyParams:
-        return ValleyParams(
-            min_prominence=self["eval.min_prominence"],
-            refractory_ms=self["eval.refractory_ms"],
-            smoothing=self["eval.smoothing"],
-        )
+    def section(self, cls: type[T], **given: Any) -> T:
+        """Build ``cls`` from its section's keys; ``given`` adds or overrides fields."""
+        values = {f.name: self[f"{SECTIONS[cls]}.{f.name}"]
+                  for f in filter(settable, fields(cls))}
+        return cls(**{**values, **given})
 
     def synth_params(self, subject_index: int) -> SynthParams:
         # Slight per-subject rate offsets keep cross-subject statistics
         # non-degenerate while staying fully seeded.
         hr = min(self["synth.mean_hr_bpm"] + 2.0 * subject_index, 240.0)
-        return SynthParams(
-            fs=self["synth.fs"],
-            duration_s=self["synth.duration_s"],
-            mean_hr_bpm=hr,
-            hr_jitter=self["synth.hr_jitter"],
-            scg_noise_sigma=self["synth.scg_noise_sigma"],
-            seed=self["synth.seed"] + subject_index,
-        )
+        return self.section(SynthParams, mean_hr_bpm=hr,
+                            seed=self["synth.seed"] + subject_index)
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -174,18 +129,22 @@ def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return config
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            try:
-                config.set(key, raw)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        try:
+            config.set(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return config

@@ -14,11 +14,12 @@ back down to base_channels/4 before the output block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .fieldcodec import NOT_SETTABLE
 from .nn import (
     BatchNormState,
     ConvSpec,
@@ -46,19 +47,19 @@ class ModelConfig:
     contracting block's channel doubling lands exactly on base_channels.
     """
 
-    input_len: int
+    input_len: int = field(metadata=NOT_SETTABLE)
     levels: int = 5
     base_channels: int = 32
     conv_kernel: int = 3
     down_kernel: int = 5
     up_kernel: int = 5
     down_stride: int = 2
-    entry_channels: int | None = None
+    entry_channels: int | None = field(default=None, metadata=NOT_SETTABLE)
     entry_kernel: int = 7
     inception_kernels: tuple[int, ...] = (1, 3, 5)
     leaky_slope: float = 0.01
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
+    bn_momentum: float = field(default=0.1, metadata=NOT_SETTABLE)
+    bn_eps: float = field(default=1e-5, metadata=NOT_SETTABLE)
 
     def __post_init__(self):
         object.__setattr__(self, "inception_kernels", tuple(self.inception_kernels))

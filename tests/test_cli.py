@@ -274,3 +274,34 @@ def test_non_utf8_checkpoint_name_exits_one(workspace, capsys):
     path.write_bytes(bytes(data))
     assert run(config, "eval") == 1
     assert "tensor name is not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, command, prepare", [
+    ("synth.fs=nan", "synth", []),
+    ("synth.duration_s=inf", "synth", []),
+    ("dataset.window_sec=nan", "train", ["synth"]),
+    ("eval.tol_ms=nan", "eval", ["synth", "train"]),
+    ("sampling.source_fs=nan", "hrv", ["synth"]),
+])
+def test_non_finite_config_value_exits_one(workspace, capsys, setting, command, prepare):
+    _, config = workspace
+    for step in prepare:
+        assert run(config, step) == 0
+    capsys.readouterr()
+    assert main(["--config", str(config), "--set", setting, command]) == 1
+    key = setting.split("=")[0]
+    assert f"bad value for {key!r}: not a finite number" in capsys.readouterr().err
+
+
+def test_non_utf8_config_file_exits_one(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"synth.subjects = 2 # \xff\n")
+    assert main(["--config", str(config), "synth"]) == 1
+    assert f"{config}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_subject_count_below_one_exits_one(workspace, capsys):
+    tmp, config = workspace
+    assert main(["--config", str(config), "--set", "synth.subjects=-3", "synth"]) == 1
+    assert "bad value for 'synth.subjects'" in capsys.readouterr().err
+    assert not (tmp / "data").exists()

@@ -1,8 +1,17 @@
 """Run-configuration schema, parsing, and defaults."""
-import pytest
+import re
+from pathlib import Path
 
-from seismonet.config import RunConfig, load_config
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from seismonet.config import SCHEMA, RunConfig, load_config
+from seismonet.detect import ValleyParams
 from seismonet.errors import ConfigError
+from seismonet.fieldcodec import CODECS
+from seismonet.model import ModelConfig
+from seismonet.training import TrainConfig
 
 
 def test_schedule_defaults_match_published_settings():
@@ -74,17 +83,109 @@ def test_missing_file_raises():
         load_config("/nonexistent/run.cfg")
 
 
+def test_directory_as_config_file_raises(tmp_path):
+    with pytest.raises(ConfigError, match="not found"):
+        load_config(tmp_path)
+
+
 def test_section_accessors_build_valid_objects():
     cfg = RunConfig()
     cfg.set("model.levels", "2")
     cfg.set("model.base_channels", "8")
-    model_cfg = cfg.model_config(input_len=64)
+    model_cfg = cfg.section(ModelConfig, input_len=64)
     assert model_cfg.levels == 2
-    train_cfg = cfg.train_config()
+    train_cfg = cfg.section(TrainConfig)
     assert train_cfg.epochs == 300
-    valley = cfg.valley_params()
+    valley = cfg.section(ValleyParams)
     assert valley.refractory_ms == 200.0
     synth0 = cfg.synth_params(0)
     synth1 = cfg.synth_params(1)
     assert synth1.seed == synth0.seed + 1
     assert synth1.mean_hr_bpm != synth0.mean_hr_bpm
+
+
+def test_run_config_keys_and_defaults_pinned():
+    cfg = RunConfig()
+    assert {key: cfg[key] for key in SCHEMA} == {
+        "paths.data_dir": "data", "paths.out_dir": "out", "paths.checkpoint": "",
+        "sampling.source_fs": 250.0, "sampling.target_fs": 0.0,
+        "dataset.window_sec": 10.0, "dataset.hop_sec": 5.0, "dataset.train_ratio": 0.6,
+        "dataset.val_ratio": 0.2, "dataset.test_ratio": 0.2, "dataset.dt_clip": 0.0,
+        "dataset.drop_boundary": True,
+        "model.levels": 5, "model.base_channels": 32, "model.conv_kernel": 3,
+        "model.down_kernel": 5, "model.up_kernel": 5, "model.down_stride": 2,
+        "model.entry_kernel": 7, "model.inception_kernels": (1, 3, 5),
+        "model.leaky_slope": 0.01,
+        "train.epochs": 300, "train.lr0": 0.001, "train.schedule_step": 100,
+        "train.schedule_factor": 10.0, "train.batch_size": 16, "train.seed": 0,
+        "train.shuffle": True, "train.checkpoint_every": 100,
+        "eval.tol_ms": 90.0, "eval.min_prominence": 0.0, "eval.refractory_ms": 200.0,
+        "eval.smoothing": 0, "eval.per_window": False,
+        "synth.subjects": 3, "synth.fs": 250.0, "synth.duration_s": 60.0,
+        "synth.mean_hr_bpm": 70.0, "synth.hr_jitter": 0.05, "synth.scg_noise_sigma": 0.1,
+        "synth.seed": 0,
+    }
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("dataset.window_sec", "nan"),
+    ("eval.tol_ms", "inf"),
+    ("model.leaky_slope", "-inf"),
+    ("synth.fs", "NaN"),
+    ("model.inception_kernels", "1,,3"),
+    ("model.inception_kernels", "1,3,"),
+    ("synth.subjects", "0"),
+    ("synth.subjects", "-3"),
+])
+def test_malformed_value_names_key(key, raw):
+    with pytest.raises(ConfigError, match=f"bad value for {key!r}"):
+        RunConfig().set(key, raw)
+
+
+def test_non_utf8_config_file(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("train.epochs = 7  # r\xe9glage\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not valid UTF-8")):
+        load_config(path)
+
+
+def test_readme_minimal_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A minimal desk-scale `run.cfg`:\n\n```\n(.*?)```", readme, re.S)
+    path = tmp_path / "run.cfg"
+    path.write_text(block.group(1))
+    cfg = load_config(path)
+    assert cfg["model.levels"] == 3
+    assert cfg.section(ModelConfig, input_len=200).base_channels == 8
+
+
+_LINE = st.tuples(st.sampled_from([*SCHEMA, "train.warmup", "model.input_len", ""]),
+                  st.one_of(st.text(max_size=12),
+                            st.sampled_from(["nan", "-inf", "1e999", "1,,3", "-3", "0",
+                                             "true", "3", "0.5", "1,3,5"])))
+_CONFIG_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_LINE, max_size=6).map(
+        lambda lines: "".join(f"{key} = {value}\n" for key, value in lines).encode()),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_CONFIG_BYTES)
+def test_any_config_bytes_load_or_raise_config_error(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("annotation, value", [
+    ("int", -7), ("int | None", 4), ("float", 0.1), ("float", 1e-05), ("bool", False),
+    ("tuple[int, ...]", (1, 3, 5)),
+])
+def test_field_codec_round_trip(annotation, value):
+    parse, fmt = CODECS[annotation]
+    assert parse(fmt(value)) == value

@@ -374,3 +374,46 @@ def test_checkpoint_config_travels(tmp_path):
     assert loaded.config.levels == 3
     assert loaded.config.inception_kernels == (1, 3)
     assert loaded.config.input_len == 80
+
+
+def _config_block(data: bytes) -> bytes:
+    """The checkpoint's config block, after magic, version and its length."""
+    return data[12:12 + int.from_bytes(data[8:12], "little")]
+
+
+def test_checkpoint_config_block_bytes_pinned(tmp_path, desk_checkpoint):
+    assert _config_block(desk_checkpoint) == (
+        b"input_len=200\nlevels=3\nbase_channels=8\nconv_kernel=3\ndown_kernel=5\n"
+        b"up_kernel=5\ndown_stride=2\nentry_channels=4\nentry_kernel=7\n"
+        b"inception_kernels=1,3,5\nleaky_slope=0.01\nbn_momentum=0.1\nbn_eps=1e-05\n"
+        b"epoch=0\n")
+    cfg = ModelConfig(input_len=301, levels=2, base_channels=12, conv_kernel=5,
+                      down_kernel=3, up_kernel=7, down_stride=3, entry_kernel=9,
+                      inception_kernels=(1, 3, 5, 7), leaky_slope=0.2, bn_momentum=0.05,
+                      bn_eps=1e-3)
+    path = tmp_path / "custom.smn"
+    save_checkpoint(build_model(cfg, seed=0), path, epoch=17)
+    assert _config_block(path.read_bytes()) == (
+        b"input_len=301\nlevels=2\nbase_channels=12\nconv_kernel=5\ndown_kernel=3\n"
+        b"up_kernel=7\ndown_stride=3\nentry_channels=6\nentry_kernel=9\n"
+        b"inception_kernels=1,3,5,7\nleaky_slope=0.2\nbn_momentum=0.05\nbn_eps=0.001\n"
+        b"epoch=17\n")
+    assert load_checkpoint(path).config == cfg
+
+
+@pytest.mark.parametrize("line, replacement", [
+    (b"leaky_slope=0.01", b"leaky_slope=nan"),
+    (b"bn_momentum=0.1", b"bn_momentum=inf"),
+    (b"bn_eps=1e-05", b"bn_eps=-inf"),
+    (b"inception_kernels=1,3,5", b"inception_kernels=1,,5"),
+])
+def test_checkpoint_malformed_config_value_rejected(tmp_path, desk_checkpoint, line,
+                                                    replacement):
+    block = _config_block(desk_checkpoint)
+    edited = block.replace(line, replacement)
+    data = (desk_checkpoint[:8] + len(edited).to_bytes(4, "little") + edited
+            + desk_checkpoint[12 + len(block):])
+    path = tmp_path / "value.smn"
+    path.write_bytes(data)
+    with pytest.raises(RecordFormatError, match="bad config value"):
+        load_checkpoint(path)
