@@ -27,6 +27,13 @@ def _parse_count(text: str) -> int:
     return value
 
 
+def _parse_tolerance(text: str) -> float:
+    value = parse_float(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
 # Each settable field of these dataclasses is the key <section>.<field>,
 # parsed by the codec of its annotation, with the field's default.
 SECTIONS = {ModelConfig: "model", TrainConfig: "train", ValleyParams: "eval",
@@ -54,7 +61,7 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     "dataset.drop_boundary": (parse_bool, True),
     **_field_keys(ModelConfig),
     **_field_keys(TrainConfig),
-    "eval.tol_ms": (parse_float, 90.0),
+    "eval.tol_ms": (_parse_tolerance, 90.0),
     **_field_keys(ValleyParams),
     "eval.per_window": (parse_bool, False),
     "synth.subjects": (_parse_count, 3),

@@ -15,6 +15,13 @@ from .windows import Window, group_by_subject
 
 DEFAULT_TOL_MS = 90.0
 
+# Windows per model forward pass in record inference. The batched
+# predictions are bitwise equal to one-window calls (the tests check it).
+# On the paper-default net with one BLAS thread, 4 and 8 scored a 10 min
+# record equally fast within noise, both about 1.25x faster than 1; 4
+# holds less memory.
+PREDICT_BATCH = 4
+
 HRV_INDEX_NAMES = ("mean_nn_ms", "sdnn_ms", "rmssd_ms", "pnn50")
 HRV_HEADER = "subject,source," + ",".join(HRV_INDEX_NAMES)
 
@@ -90,31 +97,47 @@ def merge_detections(hits: Sequence[tuple[int, float]], min_gap: float) -> np.nd
     return thin(positions, depths, min_gap)
 
 
+def _predict_batched(predict, windows: Sequence[Window]) -> Iterator[np.ndarray]:
+    """One prediction per window, from ``predict`` on (b, w) stacks.
+
+    A stack whose windows differ in length is predicted window by window,
+    so the model's own length check rejects the odd window.
+    """
+    for lo in range(0, len(windows), PREDICT_BATCH):
+        batch = windows[lo:lo + PREDICT_BATCH]
+        if len({w.length for w in batch}) == 1:
+            yield from predict(np.stack([w.scg_seg for w in batch]))
+        else:
+            yield from (predict(w.scg_seg) for w in batch)
+
+
 class RecordInference:
     """The record-inference loop, for a model or a plain window->waveform
     callable.
 
-    Iterating predicts one window at a time, checks the prediction's
-    length and yields ``(window, prediction, valleys)``, valleys in window
-    coordinates, so no caller needs every waveform of a record at once.
-    ``merged()`` then deduplicates all valleys in record coordinates,
-    collapsing those within half the refractory period to the deeper one.
+    A model's ``.predict`` runs on stacks of ``PREDICT_BATCH`` windows; a
+    callable is called on one window per step. Iterating checks each
+    prediction's length and yields ``(window, prediction, valleys)`` one
+    window at a time, valleys in window coordinates, so no caller needs
+    every waveform of a record at once. ``merged()`` then deduplicates all
+    valleys in record coordinates, collapsing those within half the
+    refractory period to the deeper one.
     """
 
     def __init__(self, model, windows: Sequence[Window], fs: float,
                  valley_params: ValleyParams):
-        if hasattr(model, "predict"):
-            self.predict = lambda window: model.predict(window.scg_seg)
-        elif callable(model):
-            self.predict = model
-        else:
+        if not (hasattr(model, "predict") or callable(model)):
             raise ValidationError("model must expose .predict or be callable on a window")
-        self.windows, self.fs, self.valley_params = windows, fs, valley_params
+        self.model, self.windows, self.fs, self.valley_params = model, windows, fs, valley_params
         self.hits: list[tuple[int, float]] = []
 
     def __iter__(self) -> Iterator[tuple[Window, np.ndarray, np.ndarray]]:
-        for window in self.windows:
-            pred = np.asarray(self.predict(window), dtype=np.float64).reshape(-1)
+        if hasattr(self.model, "predict"):
+            predictions = _predict_batched(self.model.predict, self.windows)
+        else:
+            predictions = map(self.model, self.windows)
+        for window, pred in zip(self.windows, predictions):
+            pred = np.asarray(pred, dtype=np.float64).reshape(-1)
             if pred.size != window.length:
                 raise ValidationError(
                     f"prediction length {pred.size} != window length {window.length}")

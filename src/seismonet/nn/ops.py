@@ -216,7 +216,8 @@ def conv1d(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
     if tape is not None:
         def backward():
             dy = y.grad
-            x.grad += _corr_input_grad(dy, weight.values, spec.stride, spec.padding, in_len)
+            if x.requires_grad:
+                x.grad += _corr_input_grad(dy, weight.values, spec.stride, spec.padding, in_len)
             weight.grad += _corr_weight_grad(dy, x.values, spec.stride, spec.padding, spec.kernel)
             bias.grad += dy.sum(axis=(0, 2))
         tape.record(backward)
@@ -246,7 +247,8 @@ def conv_transpose1d(x: SignalTensor, weight: Parameter, bias: Parameter, spec: 
     if tape is not None:
         def backward():
             dy = y.grad
-            x.grad += _corr_forward(dy, weight.values, spec.stride, spec.padding)
+            if x.requires_grad:
+                x.grad += _corr_forward(dy, weight.values, spec.stride, spec.padding)
             weight.grad += _corr_weight_grad(x.values, dy, spec.stride, spec.padding, spec.kernel)
             bias.grad += dy.sum(axis=(0, 2))
         tape.record(backward)

@@ -27,12 +27,14 @@ class SignalTensor:
     ``channels`` may be zero (an empty concatenation operand); batch and
     length must be at least 1. The gradient buffer is allocated, zeroed, on
     first access; ``x.grad += g`` and ``x.grad[...] = g`` both work on a
-    tensor whose gradient was never read.
+    tensor whose gradient was never read. ``requires_grad=False`` marks a
+    leaf whose gradient nothing reads, such as a raw input batch; the
+    convolutions then skip computing it.
     """
 
-    __slots__ = ("values", "_grad")
+    __slots__ = ("values", "_grad", "requires_grad")
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, requires_grad: bool = True):
         values = np.asarray(values)
         if values.ndim != 3:
             raise ValidationError(f"SignalTensor requires rank 3, got shape {values.shape}")
@@ -40,6 +42,7 @@ class SignalTensor:
             raise ValidationError(f"batch and length must be >= 1, got shape {values.shape}")
         self.values = values
         self._grad = None
+        self.requires_grad = requires_grad
 
     @property
     def grad(self) -> np.ndarray:

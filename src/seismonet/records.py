@@ -8,6 +8,7 @@ line.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -60,7 +61,12 @@ def validate_annotations(indices: np.ndarray, length: int) -> None:
 
 
 def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> Record:
-    """Load a record CSV plus its optional sibling annotation file."""
+    """Load a record CSV plus its optional sibling annotation file.
+
+    The data rows are parsed by one vectorised call; when that call fails,
+    or yields a table of another width, the strict line loop parses the
+    file again and raises the ``RecordFormatError`` naming the line.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -68,32 +74,18 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
         if columns not in (["t", "scg"], ["t", "scg", "ecg"]):
             raise RecordFormatError(
                 f"{path}: expected header 't,scg' or 't,scg,ecg', got {header!r}")
-        has_ecg = len(columns) == 3
-        times, scg, ecg = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise RecordFormatError(
-                    f"{path}:{lineno}: expected {len(columns)} fields, got {len(parts)}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError as exc:
-                raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
-            times.append(values[0])
-            scg.append(values[1])
-            if has_ecg:
-                ecg.append(values[2])
+        data = _parse_rows_fast(fh, len(columns))
+        if data is None:
+            fh.seek(0)
+            fh.readline()
+            data = _parse_rows_strict(fh, path, len(columns))
 
-    times_arr = np.asarray(times)
-    arrays = [times_arr, np.asarray(scg)] + ([np.asarray(ecg)] if has_ecg else [])
-    finite = np.logical_and.reduce([np.isfinite(c) for c in arrays])
+    finite = np.isfinite(data).all(axis=0)
     if not finite.all():
         lineno = _line_of_row(path, int(np.argmin(finite)))
         raise RecordFormatError(f"{path}:{lineno}: non-finite value")
-    if times_arr.size > 1 and np.any(np.diff(times_arr) <= 0):
+    times = data[0]
+    if times.size > 1 and np.any(np.diff(times) <= 0):
         raise RecordFormatError(f"{path}: time column is not strictly increasing")
 
     rpeaks = None
@@ -104,10 +96,46 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
     return Record(
         subject_id=subject_id or path.stem,
         fs=fs,
-        scg=arrays[1],
-        ecg=arrays[2] if has_ecg else None,
+        scg=data[1],
+        ecg=data[2] if len(columns) == 3 else None,
         rpeaks=rpeaks,
     )
+
+
+def _parse_rows_fast(fh, n_columns: int) -> np.ndarray | None:
+    """The remaining rows of ``fh`` as a (columns, rows) array, or None.
+
+    None means the strict loop must decide: the parse failed, warned (a
+    file without data rows warns) or found rows of another width. Where it
+    succeeds, it reads the same rows and values as the strict loop.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if rows.shape[1] != n_columns:
+        return None
+    return np.ascontiguousarray(rows.T)
+
+
+def _parse_rows_strict(fh, path: Path, n_columns: int) -> np.ndarray:
+    """The remaining rows of ``fh``, line by line; the first bad line raises."""
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != n_columns:
+            raise RecordFormatError(
+                f"{path}:{lineno}: expected {n_columns} fields, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+    return np.ascontiguousarray(np.array(rows, dtype=np.float64).reshape(-1, n_columns).T)
 
 
 def _line_of_row(path: Path, row: int) -> int:

@@ -130,7 +130,8 @@ def train(model: SeismoNet, split: DatasetSplit, cfg: TrainConfig,
             batch = [split.train[i] for i in order[lo:lo + cfg.batch_size]]
             inputs, targets = _stack_batch(batch, model.dtype)
             tape = Tape()
-            pred = model.forward(SignalTensor(inputs), tape=tape, training=True)
+            pred = model.forward(SignalTensor(inputs, requires_grad=False), tape=tape,
+                                 training=True)
             loss = smooth_l1_loss(pred, targets, reduction="mean", tape=tape)
             if not np.isfinite(loss.value):
                 raise NumericError(

@@ -94,14 +94,18 @@ def segment_windows(record: Record, w_sec: float, hop_sec: float,
             f"record {record.subject_id!r} has {length} samples, shorter "
             f"than one window of {w}")
 
+    starts = range(0, length - w + 1, hop)
+    if record.rpeaks is not None:
+        # rpeaks ascend, so each window's annotations are one slice of them.
+        first = np.searchsorted(record.rpeaks, starts, side="left").tolist()
+        stop = np.searchsorted(record.rpeaks, np.add(starts, w), side="left").tolist()
     windows = []
-    for start in range(0, length - w + 1, hop):
+    for n, start in enumerate(starts):
         seg = record.scg[start:start + w].copy()
         local = None
         target = None
         if record.rpeaks is not None:
-            mask = (record.rpeaks >= start) & (record.rpeaks < start + w)
-            local = record.rpeaks[mask] - start
+            local = record.rpeaks[first[n]:stop[n]] - start
             if local.size:
                 target = distance_transform(local, w).astype(np.float64)
                 if dt_clip is not None:

@@ -252,6 +252,31 @@ def test_non_finite_record_sample_exits_one(workspace, capsys):
     assert f"{path.name}:6: non-finite value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row.replace(",", ",1#", 1), "could not convert string to float"),
+    (lambda row: row.rsplit(",", 1)[0] + "\n", "expected 3 fields, got 2"),
+    (lambda row: row.rstrip("\n") + ",0.5\n", "expected 3 fields, got 4"),
+], ids=["hash_in_field", "missing_field", "extra_field"])
+def test_malformed_record_row_exits_one(workspace, capsys, edit, message):
+    tmp, config = workspace
+    run(config, "synth")
+    path = sorted((tmp / "data").glob("*.csv"))[0]
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = edit(lines[5])
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert run(config, "hrv") == 1
+    err = capsys.readouterr().err
+    assert f"{path.name}:6: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_negative_tolerance_exits_one(workspace, capsys):
+    _, config = workspace
+    assert main(["--config", str(config), "--set", "eval.tol_ms=-5", "eval"]) == 1
+    assert "bad value for 'eval.tol_ms': must be >= 0, got -5.0" in capsys.readouterr().err
+
+
 def test_corrupted_checkpoint_dim_exits_one(workspace, capsys):
     tmp, config = workspace
     run(config, "synth")

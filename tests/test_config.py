@@ -130,6 +130,7 @@ def test_run_config_keys_and_defaults_pinned():
 @pytest.mark.parametrize("key, raw", [
     ("dataset.window_sec", "nan"),
     ("eval.tol_ms", "inf"),
+    ("eval.tol_ms", "-5"),
     ("model.leaky_slope", "-inf"),
     ("synth.fs", "NaN"),
     ("model.inception_kernels", "1,,3"),

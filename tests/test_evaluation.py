@@ -4,7 +4,9 @@ import pytest
 
 from seismonet.detect import ValleyParams
 from seismonet.errors import ValidationError
+from seismonet.model import ModelConfig, build_model
 from seismonet.evaluation import (
+    PREDICT_BATCH,
     PeakMatchReport,
     RecordInference,
     SubjectScore,
@@ -109,6 +111,69 @@ def test_record_inference_streams_and_merges_at_half_refractory():
     np.testing.assert_array_equal(valleys, [50])
     assert [w.start for w, _, _ in steps] == [40]
     np.testing.assert_array_equal(inference.merged(), [50, 65])
+
+
+class _CountingModel:
+    """A model whose .predict records the shape of every call."""
+
+    def __init__(self, model):
+        self.model, self.shapes = model, []
+
+    def predict(self, scg):
+        self.shapes.append(np.shape(scg))
+        return self.model.predict(scg)
+
+
+def _model_windows(input_len, fs, count):
+    record = synth_record(SynthParams(fs=fs, duration_s=(count + 1) * input_len / fs / 2,
+                                      seed=4), subject_id="b")
+    windows = segment_windows(record, input_len / fs, input_len / fs / 2)[:count]
+    assert len(windows) == count
+    return windows
+
+
+@pytest.mark.parametrize("config, fs", [
+    (dict(input_len=200, levels=3, base_channels=8), 100.0),
+    (dict(input_len=2500), 250.0),
+], ids=["desk", "paper_default"])
+def test_batched_inference_bitwise_equals_per_window_predict(config, fs):
+    model = build_model(ModelConfig(**config), seed=1)
+    count = 2 * PREDICT_BATCH + 3
+    windows = _model_windows(config["input_len"], fs, count)
+    params = ValleyParams(smoothing=3)
+    counting = _CountingModel(model)
+    batched = RecordInference(counting, windows, fs, params)
+    single = RecordInference(lambda w: model.predict(w.scg_seg), windows, fs, params)
+
+    steps = list(zip(batched, single))
+    assert len(steps) == count
+    for (w_b, pred_b, valleys_b), (w_s, pred_s, valleys_s) in steps:
+        assert w_b is w_s
+        assert pred_b.dtype == pred_s.dtype and pred_b.tobytes() == pred_s.tobytes()
+        np.testing.assert_array_equal(valleys_b, valleys_s)
+    np.testing.assert_array_equal(batched.merged(), single.merged())
+    assert batched.hits == single.hits
+    w = config["input_len"]
+    assert counting.shapes == [(PREDICT_BATCH, w), (PREDICT_BATCH, w), (3, w)]
+
+
+@pytest.mark.parametrize("bad", ["one_window", "every_window"])
+def test_wrong_window_length_in_batch_rejected_as_before(bad):
+    model = build_model(ModelConfig(input_len=200, levels=3, base_channels=8), seed=1)
+    windows = _model_windows(200, 100.0, PREDICT_BATCH + 2)
+    short = [Window(w.subject_id, w.start, w.scg_seg[:-1]) for w in windows]
+    windows = short if bad == "every_window" else windows[:3] + short[3:4] + windows[4:]
+
+    def run(predictor):
+        seen = []
+        with pytest.raises(ValidationError) as info:
+            for window, _, _ in RecordInference(predictor, windows, 100.0, ValleyParams()):
+                seen.append(window.start)
+        return str(info.value), seen
+
+    message, seen = run(model)
+    assert message == "input length 199 != configured 200"
+    assert (message, seen) == run(lambda w: model.predict(w.scg_seg))
 
 
 def test_hrv_pair_produced_per_subject():

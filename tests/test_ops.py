@@ -474,6 +474,26 @@ def test_untaped_ops_allocate_no_gradients(rng):
             assert t._grad is None
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_conv_skips_input_gradient_nothing_reads(rng, transposed):
+    values = rng.normal(size=(2, 3, 12))
+    shape = (3, 4, 3) if transposed else (4, 3, 3)
+    w_values = rng.normal(size=shape)
+    op = conv_transpose1d if transposed else conv1d
+    spec = ConvSpec(3, 4, 3, 2, 1, transposed=transposed)
+    grads = {}
+    for requires_grad in (True, False):
+        x = SignalTensor(values, requires_grad=requires_grad)
+        w, b = Parameter(w_values.copy()), Parameter(np.zeros(4))
+        tape = Tape()
+        y = op(x, w, b, spec, tape)
+        y.grad[...] = 1.0
+        tape.backward()
+        assert (x._grad is None) == (not requires_grad)
+        grads[requires_grad] = (w.grad.tobytes(), b.grad.tobytes())
+    assert grads[True] == grads[False]
+
+
 def test_unread_gradient_accumulates_from_zero(rng):
     x = tensor(rng.normal(size=(1, 2, 5)))
     g = rng.normal(size=(1, 2, 5))

@@ -1,7 +1,12 @@
 """Record I/O, resampling, and annotator behavior."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from seismonet import records
 from seismonet.errors import RecordFormatError, ValidationError
 from seismonet.records import (
     Record,
@@ -59,6 +64,100 @@ def test_non_finite_sample_reports_line_number(tmp_path, rows, line):
     path.write_text("t,scg,ecg\n" + rows)
     with pytest.raises(RecordFormatError, match=rf"r\.csv:{line}: non-finite value"):
         load_record(path, fs=1)
+
+
+def _load_outcome(path, strict_only=False):
+    """What load_record makes of a file: its arrays' bytes, or the exception."""
+    try:
+        if strict_only:
+            with mock.patch.object(records, "_parse_rows_fast", return_value=None):
+                record = load_record(path, fs=1)
+        else:
+            record = load_record(path, fs=1)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    ecg = None if record.ecg is None else (record.ecg.dtype, record.ecg.tobytes())
+    return record.scg.dtype, record.scg.tobytes(), ecg
+
+
+def _assert_fast_path_matches_strict_loop(path):
+    assert _load_outcome(path) == _load_outcome(path, strict_only=True)
+    # Whatever the header, rows the fast path accepts are the strict loop's.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            n_columns = len(fh.readline().split(","))
+            fast = records._parse_rows_fast(fh, n_columns)
+            if fast is None:
+                return
+            fh.seek(0)
+            fh.readline()
+            strict = records._parse_rows_strict(fh, path, n_columns)
+    except UnicodeDecodeError:
+        return
+    assert fast.shape == strict.shape
+    assert fast.tobytes() == strict.tobytes()
+
+
+@pytest.mark.parametrize("body, fast_decides", [
+    ("0,1.0\n\n1,2.0\n\n", True),
+    ("0,1.0\n   \n1,2.0\n", False),
+    ("", False),
+    ("\n\n", False),
+    ("0,1.0\n1,2#0\n", False),
+    ("0,1_0\n1,2.0\n", False),
+    (" 0 , 1.0 \n\t1,2.0\t\n", True),
+    ("0,1.0\n1,2.0,3.0\n", False),
+    ("0,1.0\n1\n", False),
+    ("0,1.0\n1,nan\n", True),
+    ("0,1.0\n1,1e999\n", True),
+    ("0,1.0\n0,2.0\n", True),
+], ids=["blank_lines", "whitespace_line", "header_only", "header_and_blank_lines",
+        "hash_in_field", "underscore_digits", "surrounding_spaces", "ragged_long",
+        "ragged_short", "nan", "overflow", "non_monotone_time"])
+def test_fast_parse_matches_strict_loop(tmp_path, body, fast_decides):
+    path = tmp_path / "r.csv"
+    path.write_text("t,scg\n" + body)
+    _assert_fast_path_matches_strict_loop(path)
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        assert (records._parse_rows_fast(fh, 2) is not None) == fast_decides
+
+
+def test_strict_fallback_keeps_underscore_digits(tmp_path):
+    # float() reads 1_0 as 10; the vectorised parse rejects it, and the
+    # strict loop then loads the file as before.
+    path = tmp_path / "r.csv"
+    path.write_text("t,scg\n0,1_0\n1,2.5\n")
+    np.testing.assert_array_equal(load_record(path, fs=1).scg, [10.0, 2.5])
+
+
+_FIELD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "1_0", "1#", "#", "0x1", "1.",
+                     ".5", "+1", "1e", " 2 ", "\t3", "\x0c", "\xa0", "\u0661", "1 2"]),
+)
+_ROW = st.lists(_FIELD, min_size=1, max_size=4).map(",".join)
+_BODY = st.one_of(
+    st.binary(max_size=120),
+    st.lists(st.one_of(_ROW, st.sampled_from(["", " ", "\r", "\x0b"])), max_size=8).map(
+        lambda rows: "\n".join(rows).encode()),
+    # Increasing times with arbitrary samples: rows the fast path can accept.
+    st.lists(_FIELD, max_size=8).map(
+        lambda vals: "".join(f"{i},{v}\n" for i, v in enumerate(vals)).encode()),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.sampled_from([b"t,scg\n", b"t,scg,ecg\n", b" t , scg \n", b"t,ecg\n", b""]),
+       body=_BODY)
+@example(header=b"t,scg\n", body=b"0,1\n1,\xff\n")
+@example(header=b"t,scg,ecg\n", body=b"0,1,2\n\n1,3,4\r\n2,5,inf\n")
+def test_any_record_bytes_parse_alike_on_both_paths(tmp_path, header, body):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(header + body)
+    _assert_fast_path_matches_strict_loop(path)
 
 
 def test_non_monotone_time_rejected(tmp_path):
