@@ -27,7 +27,7 @@ def _parse_count(text: str) -> int:
     return value
 
 
-def _parse_tolerance(text: str) -> float:
+def _parse_non_negative(text: str) -> float:
     value = parse_float(text)
     if value < 0:
         raise ValueError(f"must be >= 0, got {value}")
@@ -51,17 +51,17 @@ SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
     "paths.out_dir": (str, "out"),
     "paths.checkpoint": (str, ""),
     "sampling.source_fs": (parse_float, 250.0),
-    "sampling.target_fs": (parse_float, 0.0),
+    "sampling.target_fs": (_parse_non_negative, 0.0),
     "dataset.window_sec": (parse_float, 10.0),
     "dataset.hop_sec": (parse_float, 5.0),
     "dataset.train_ratio": (parse_float, 0.6),
     "dataset.val_ratio": (parse_float, 0.2),
     "dataset.test_ratio": (parse_float, 0.2),
-    "dataset.dt_clip": (parse_float, 0.0),
+    "dataset.dt_clip": (_parse_non_negative, 0.0),
     "dataset.drop_boundary": (parse_bool, True),
     **_field_keys(ModelConfig),
     **_field_keys(TrainConfig),
-    "eval.tol_ms": (_parse_tolerance, 90.0),
+    "eval.tol_ms": (_parse_non_negative, 90.0),
     **_field_keys(ValleyParams),
     "eval.per_window": (parse_bool, False),
     "synth.subjects": (_parse_count, 3),

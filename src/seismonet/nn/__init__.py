@@ -16,12 +16,13 @@ from .ops import (
     smooth_l1_loss,
 )
 from .optim import lr_schedule, sgd_step
-from .tensor import DEFAULT_DTYPE, Parameter, ParamStore, SignalTensor, Tape
+from .tensor import DEFAULT_DTYPE, GradSlot, Parameter, ParamStore, SignalTensor, Tape
 
 __all__ = [
     "BatchNormState",
     "ConvSpec",
     "DEFAULT_DTYPE",
+    "GradSlot",
     "LossValue",
     "Parameter",
     "ParamStore",

@@ -214,11 +214,13 @@ def conv1d(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
     y = SignalTensor(y_values)
 
     if tape is not None:
+        xs, ys, x_values = x.slot, y.slot, x.values
+
         def backward():
-            dy = y.grad
-            if x.requires_grad:
-                x.grad += _corr_input_grad(dy, weight.values, spec.stride, spec.padding, in_len)
-            weight.grad += _corr_weight_grad(dy, x.values, spec.stride, spec.padding, spec.kernel)
+            dy = ys.grad
+            if xs.requires_grad:
+                xs.grad += _corr_input_grad(dy, weight.values, spec.stride, spec.padding, in_len)
+            weight.grad += _corr_weight_grad(dy, x_values, spec.stride, spec.padding, spec.kernel)
             bias.grad += dy.sum(axis=(0, 2))
         tape.record(backward)
     return y
@@ -245,11 +247,13 @@ def conv_transpose1d(x: SignalTensor, weight: Parameter, bias: Parameter, spec: 
     y = SignalTensor(y_values)
 
     if tape is not None:
+        xs, ys, x_values = x.slot, y.slot, x.values
+
         def backward():
-            dy = y.grad
-            if x.requires_grad:
-                x.grad += _corr_forward(dy, weight.values, spec.stride, spec.padding)
-            weight.grad += _corr_weight_grad(x.values, dy, spec.stride, spec.padding, spec.kernel)
+            dy = ys.grad
+            if xs.requires_grad:
+                xs.grad += _corr_forward(dy, weight.values, spec.stride, spec.padding)
+            weight.grad += _corr_weight_grad(x_values, dy, spec.stride, spec.padding, spec.kernel)
             bias.grad += dy.sum(axis=(0, 2))
         tape.record(backward)
     return y
@@ -312,8 +316,10 @@ def batchnorm1d(x: SignalTensor, state: BatchNormState, training: bool,
     y = SignalTensor(y_values)
 
     if tape is not None:
+        xs, ys = x.slot, y.slot
+
         def backward():
-            dy = y.grad
+            dy = ys.grad
             sum_dy = dy.sum(axis=(0, 2))
             sum_dy_xhat = np.einsum("bcl,bcl->c", dy, xhat)
             gamma.grad += sum_dy_xhat
@@ -324,9 +330,9 @@ def batchnorm1d(x: SignalTensor, state: BatchNormState, training: bool,
                 dx = dy * scale[None, :, None]
                 dx -= (scale / m * sum_dy)[None, :, None]
                 dx -= xhat * (scale / m * sum_dy_xhat)[None, :, None]
-                x.grad += dx
+                xs.grad += dx
             else:
-                x.grad += dy * scale[None, :, None]
+                xs.grad += dy * scale[None, :, None]
         tape.record(backward)
     return y
 
@@ -342,11 +348,11 @@ def leaky_relu(x: SignalTensor, slope: float, tape: Tape | None = None) -> Signa
     y = SignalTensor(y_values)
 
     if tape is not None:
-        positive = x.values > 0
+        xs, ys, positive = x.slot, y.slot, x.values > 0
 
         def backward():
             # factor 1 on the mask and s elsewhere, each exact
-            x.grad += y.grad * (positive + ~positive * s)
+            xs.grad += ys.grad * (positive + ~positive * s)
         tape.record(backward)
     return y
 
@@ -360,9 +366,11 @@ def concat_channels(a: SignalTensor, b: SignalTensor, tape: Tape | None = None) 
     y = SignalTensor(np.concatenate([a.values, b.values], axis=1))
 
     if tape is not None:
+        a_slot, b_slot, ys = a.slot, b.slot, y.slot
+
         def backward():
-            a.grad += y.grad[:, :split, :]
-            b.grad += y.grad[:, split:, :]
+            a_slot.grad += ys.grad[:, :split, :]
+            b_slot.grad += ys.grad[:, split:, :]
         tape.record(backward)
     return y
 
@@ -374,9 +382,11 @@ def add(a: SignalTensor, b: SignalTensor, tape: Tape | None = None) -> SignalTen
     y = SignalTensor(a.values + b.values)
 
     if tape is not None:
+        a_slot, b_slot, ys = a.slot, b.slot, y.slot
+
         def backward():
-            a.grad += y.grad
-            b.grad += y.grad
+            a_slot.grad += ys.grad
+            b_slot.grad += ys.grad
         tape.record(backward)
     return y
 
@@ -390,15 +400,19 @@ def crop_or_pad(x: SignalTensor, target_len: int, tape: Tape | None = None) -> S
         start = (length - target_len) // 2
         y = SignalTensor(x.values[:, :, start:start + target_len].copy())
         if tape is not None:
+            xs, ys = x.slot, y.slot
+
             def backward():
-                x.grad[:, :, start:start + target_len] += y.grad
+                xs.grad[:, :, start:start + target_len] += ys.grad
             tape.record(backward)
         return y
     pad = target_len - length
     y = SignalTensor(np.pad(x.values, ((0, 0), (0, 0), (0, pad))))
     if tape is not None:
+        xs, ys = x.slot, y.slot
+
         def backward():
-            x.grad += y.grad[:, :, :length]
+            xs.grad += ys.grad[:, :, :length]
         tape.record(backward)
     return y
 
@@ -421,10 +435,12 @@ def resize_linear(x: SignalTensor, target_len: int, tape: Tape | None = None) ->
     y = SignalTensor(x.values[:, :, lo] * (1 - frac) + x.values[:, :, hi] * frac)
 
     if tape is not None:
+        xs, ys = x.slot, y.slot
+
         def backward():
-            b, c, _ = x.shape
-            dxf = x.grad.reshape(b * c, length)
-            dyf = y.grad.reshape(b * c, target_len)
+            b, c, _ = xs.shape
+            dxf = xs.grad.reshape(b * c, length)
+            dyf = ys.grad.reshape(b * c, target_len)
             rows = np.arange(b * c)[:, None]
             np.add.at(dxf, (rows, lo[None, :]), dyf * (1 - frac))
             np.add.at(dxf, (rows, hi[None, :]), dyf * frac)
@@ -471,10 +487,12 @@ def smooth_l1_loss(pred: SignalTensor, target, reduction: str = "mean",
     value = total / n if reduction == "mean" else total
 
     if tape is not None:
+        ps = pred.slot
+
         def backward():
             g = np.where(quad, d, np.sign(d))
             if reduction == "mean":
                 g = g / n
-            pred.grad += g.astype(pred.dtype, copy=False)
+            ps.grad += g.astype(ps.dtype, copy=False)
         tape.record(backward)
     return LossValue(value)

@@ -4,11 +4,20 @@ The engine is deliberately small: activations are rank-3 ``SignalTensor``
 objects shaped (batch, channels, length), trainable values are ``Parameter``
 objects of arbitrary rank, and a ``Tape`` records one backward closure per
 executed op. Calling ``Tape.backward()`` runs the closures in reverse order;
-each closure reads the gradient buffer of the op's output and accumulates
-into the gradient buffers of its inputs, so tensors consumed by several ops
-(skip connections, residual adds) receive summed gradients for free.
-Activation gradient buffers are allocated (zeroed) on first access, so a
-forward pass without a tape allocates none.
+each closure reads the gradient of the op's output and accumulates into the
+gradients of its inputs, so tensors consumed by several ops (skip
+connections, residual adds) receive summed gradients for free.
+
+A tensor's gradient lives in a ``GradSlot``: the buffer, allocated (zeroed)
+on first read, plus the shape, dtype and ``requires_grad`` it needs. A
+tensor makes its slot on first use, so a forward pass without a tape makes
+no slot and allocates no gradient. A taped op's closure captures the slots
+of its input and output and only the arrays its backward reads (a conv's
+input values, batch norm's ``xhat``, leaky ReLU's mask), never the tensors
+themselves. So an activation that no backward reads is freed as soon as the
+forward drops the tensor, and ``Tape.backward()`` drops each closure right
+after running it: the op's saved arrays and its output gradient are freed
+once no closure still to run can read them.
 """
 from __future__ import annotations
 
@@ -21,18 +30,43 @@ from ..errors import ValidationError
 DEFAULT_DTYPE = np.float32
 
 
-class SignalTensor:
-    """A (batch, channels, length) buffer with a same-shape gradient buffer.
+class GradSlot:
+    """The gradient of one tensor: a buffer allocated, zeroed, on first read.
 
-    ``channels`` may be zero (an empty concatenation operand); batch and
-    length must be at least 1. The gradient buffer is allocated, zeroed, on
-    first access; ``x.grad += g`` and ``x.grad[...] = g`` both work on a
-    tensor whose gradient was never read. ``requires_grad=False`` marks a
-    leaf whose gradient nothing reads, such as a raw input batch; the
-    convolutions then skip computing it.
+    ``requires_grad=False`` marks a leaf whose gradient nothing reads, such
+    as a raw input batch; the convolutions then skip computing it.
     """
 
-    __slots__ = ("values", "_grad", "requires_grad")
+    __slots__ = ("buffer", "shape", "dtype", "requires_grad")
+
+    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool = True):
+        self.buffer = None
+        self.shape = shape
+        self.dtype = dtype
+        self.requires_grad = requires_grad
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self.buffer is None:
+            self.buffer = np.zeros(self.shape, dtype=self.dtype)
+        return self.buffer
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        # ``slot.grad += g`` reads the buffer, adds in place, then assigns it back.
+        self.buffer = value
+
+
+class SignalTensor:
+    """A (batch, channels, length) buffer whose gradient lives in a ``GradSlot``.
+
+    ``channels`` may be zero (an empty concatenation operand); batch and
+    length must be at least 1. The slot is made on first use and its buffer
+    on first read; ``x.grad += g`` and ``x.grad[...] = g`` both work on a
+    tensor whose gradient was never read.
+    """
+
+    __slots__ = ("values", "_slot")
 
     def __init__(self, values: np.ndarray, requires_grad: bool = True):
         values = np.asarray(values)
@@ -41,19 +75,34 @@ class SignalTensor:
         if values.shape[0] < 1 or values.shape[2] < 1:
             raise ValidationError(f"batch and length must be >= 1, got shape {values.shape}")
         self.values = values
-        self._grad = None
-        self.requires_grad = requires_grad
+        self._slot = None if requires_grad else GradSlot(values.shape, values.dtype, False)
+
+    @property
+    def slot(self) -> GradSlot:
+        if self._slot is None:
+            self._slot = GradSlot(self.values.shape, self.values.dtype)
+        return self._slot
 
     @property
     def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.values)
-        return self._grad
+        return self.slot.grad
 
     @grad.setter
     def grad(self, value: np.ndarray) -> None:
-        # ``x.grad += g`` reads the buffer, adds in place, then assigns it back.
-        self._grad = value
+        self.slot.grad = value
+
+    @property
+    def _grad(self) -> np.ndarray | None:
+        """The gradient buffer if one was allocated, else None."""
+        return None if self._slot is None else self._slot.buffer
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._slot is None or self._slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self.slot.requires_grad = value
 
     @classmethod
     def zeros(cls, batch: int, channels: int, length: int, dtype=DEFAULT_DTYPE) -> "SignalTensor":
@@ -80,7 +129,8 @@ class SignalTensor:
         return self.values.dtype
 
     def zero_grad(self) -> None:
-        self._grad = None
+        if self._slot is not None:
+            self._slot.buffer = None
 
     def __repr__(self) -> str:
         return f"SignalTensor(shape={self.values.shape}, dtype={self.values.dtype})"
@@ -160,10 +210,10 @@ class Tape:
         self._backward_fns.append(fn)
 
     def backward(self) -> None:
-        """Run recorded closures in reverse order, then clear the tape."""
-        for fn in reversed(self._backward_fns):
-            fn()
-        self._backward_fns.clear()
+        """Run recorded closures in reverse order, dropping each once it has run."""
+        fns = self._backward_fns
+        while fns:
+            fns.pop()()
 
     def __len__(self) -> int:
         return len(self._backward_fns)

@@ -68,17 +68,20 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
     file again and raises the ``RecordFormatError`` naming the line.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        columns = [c.strip() for c in header.split(",")]
-        if columns not in (["t", "scg"], ["t", "scg", "ecg"]):
-            raise RecordFormatError(
-                f"{path}: expected header 't,scg' or 't,scg,ecg', got {header!r}")
-        data = _parse_rows_fast(fh, len(columns))
-        if data is None:
-            fh.seek(0)
-            fh.readline()
-            data = _parse_rows_strict(fh, path, len(columns))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            columns = [c.strip() for c in header.split(",")]
+            if columns not in (["t", "scg"], ["t", "scg", "ecg"]):
+                raise RecordFormatError(
+                    f"{path}: expected header 't,scg' or 't,scg,ecg', got {header!r}")
+            data = _parse_rows_fast(fh, len(columns))
+            if data is None:
+                fh.seek(0)
+                fh.readline()
+                data = _parse_rows_strict(fh, path, len(columns))
+    except UnicodeDecodeError:
+        raise RecordFormatError(f"{path}: not valid UTF-8") from None
 
     finite = np.isfinite(data).all(axis=0)
     if not finite.all():
@@ -105,14 +108,16 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
 def _parse_rows_fast(fh, n_columns: int) -> np.ndarray | None:
     """The remaining rows of ``fh`` as a (columns, rows) array, or None.
 
-    None means the strict loop must decide: the parse failed, warned (a
-    file without data rows warns) or found rows of another width. Where it
-    succeeds, it reads the same rows and values as the strict loop.
+    Lines the strict loop skips (empty after ``str.strip()``) are dropped
+    first. None means the strict loop must decide: the parse failed, warned
+    (a file without data rows warns) or found rows of another width. Where
+    it succeeds, it reads the same rows and values as the strict loop.
     """
+    lines = (line for line in fh if line.strip())
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            rows = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except (ValueError, UserWarning):
         return None
     if rows.shape[1] != n_columns:
@@ -151,15 +156,18 @@ def annotation_path(record_path: str | Path) -> Path:
 
 def load_annotations(path: str | Path) -> np.ndarray:
     indices = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                indices.append(int(line))
-            except ValueError as exc:
-                raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    indices.append(int(line))
+                except ValueError as exc:
+                    raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise RecordFormatError(f"{path}: not valid UTF-8") from None
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size and np.any(np.diff(indices) <= 0):
         raise ValidationError(f"{path}: annotation indices must be strictly increasing")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import seismonet.model
-from seismonet.nn import SignalTensor, Tape
+from seismonet.nn import GradSlot, Tape
 
 
 def projection_check(build, arrays, proj_seed=99, step=1e-5):
@@ -74,14 +74,14 @@ def rng():
 
 @pytest.fixture
 def grad_reads(monkeypatch):
-    """Shapes of every SignalTensor gradient read (the only way one gets
+    """Shapes of every activation gradient read (the only way one gets
     allocated), in order."""
     reads = []
-    prop = SignalTensor.grad
+    prop = GradSlot.grad
 
-    def counting_get(t):
-        reads.append(t.shape)
-        return prop.fget(t)
+    def counting_get(slot):
+        reads.append(slot.shape)
+        return prop.fget(slot)
 
-    monkeypatch.setattr(SignalTensor, "grad", property(counting_get, prop.fset))
+    monkeypatch.setattr(GradSlot, "grad", property(counting_get, prop.fset))
     return reads

@@ -271,10 +271,33 @@ def test_malformed_record_row_exits_one(workspace, capsys, edit, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("suffix", ["", ".rpeaks"], ids=["csv", "rpeaks"])
+def test_non_utf8_record_file_exits_one(tmp_path, capsys, suffix):
+    data = tmp_path / "data"
+    data.mkdir()
+    csv = data / "a.csv"
+    csv.write_bytes(b"t,scg\n0,1\n1,\xff\n" if not suffix else b"t,scg\n0,1\n1,2\n")
+    if suffix:
+        (data / "a.csv.rpeaks").write_bytes(b"0\n\xff\n")
+    assert main(["--set", f"paths.data_dir={data}", "hrv"]) == 1
+    err = capsys.readouterr().err
+    assert f"a.csv{suffix}: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_negative_tolerance_exits_one(workspace, capsys):
     _, config = workspace
     assert main(["--config", str(config), "--set", "eval.tol_ms=-5", "eval"]) == 1
     assert "bad value for 'eval.tol_ms': must be >= 0, got -5.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["sampling.target_fs", "dataset.dt_clip"])
+def test_negative_rate_or_clip_exits_one(workspace, capsys, key):
+    tmp, config = workspace
+    assert run(config, "synth") == 0
+    assert main(["--config", str(config), "--set", f"{key}=-5", "train"]) == 1
+    assert f"bad value for {key!r}: must be >= 0, got -5.0" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
 
 
 def test_corrupted_checkpoint_dim_exits_one(workspace, capsys):

@@ -131,6 +131,8 @@ def test_run_config_keys_and_defaults_pinned():
     ("dataset.window_sec", "nan"),
     ("eval.tol_ms", "inf"),
     ("eval.tol_ms", "-5"),
+    ("sampling.target_fs", "-5"),
+    ("dataset.dt_clip", "-3"),
     ("model.leaky_slope", "-inf"),
     ("synth.fs", "NaN"),
     ("model.inception_kernels", "1,,3"),

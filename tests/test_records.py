@@ -58,7 +58,9 @@ def test_wrong_field_count_reports_line_number(tmp_path):
     ("0,1.0,2.0\n\n1,1.0,-inf\n", 4),
     ("inf,1.0,2.0\n", 2),
     ("0,1.0,2.0\n1,1e999,2.0\n", 3),
-], ids=["nan_scg", "neg_inf_ecg_after_blank_line", "inf_time", "overflow_to_inf"])
+    ("0,1.0,2.0\n \t\n1,nan,2.0\n", 4),
+], ids=["nan_scg", "neg_inf_ecg_after_blank_line", "inf_time", "overflow_to_inf",
+        "nan_after_whitespace_line"])
 def test_non_finite_sample_reports_line_number(tmp_path, rows, line):
     path = tmp_path / "r.csv"
     path.write_text("t,scg,ecg\n" + rows)
@@ -100,7 +102,7 @@ def _assert_fast_path_matches_strict_loop(path):
 
 @pytest.mark.parametrize("body, fast_decides", [
     ("0,1.0\n\n1,2.0\n\n", True),
-    ("0,1.0\n   \n1,2.0\n", False),
+    ("0,1.0\n   \n1,2.0\n", True),
     ("", False),
     ("\n\n", False),
     ("0,1.0\n1,2#0\n", False),
