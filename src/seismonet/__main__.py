@@ -1,0 +1,7 @@
+"""``python -m seismonet``: the command-line interface of ``seismonet.cli``."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

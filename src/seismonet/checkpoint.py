@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import RecordFormatError, ValidationError
 from .fieldcodec import formatter, parser
-from .model import ModelConfig, SeismoNet, build_model
+from .model import ModelConfig, SeismoNet
 
 MAGIC = b"SMN1"
 VERSION = 1
+PAYLOAD_DTYPE = np.dtype("<f4")
 
 
 def _config_text(config: ModelConfig, epoch: int) -> str:
@@ -57,7 +58,7 @@ def _write_tensor(fh, name: str, values: np.ndarray) -> None:
     fh.write(struct.pack("<I", values.ndim))
     for dim in values.shape:
         fh.write(struct.pack("<Q", dim))
-    fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+    fh.write(np.ascontiguousarray(values, dtype=PAYLOAD_DTYPE).tobytes())
 
 
 def save_checkpoint(model: SeismoNet, path: str | Path, epoch: int | None = None) -> None:
@@ -89,6 +90,14 @@ class _Reader:
             raise RecordFormatError(f"{self.path}: truncated checkpoint file")
         return data
 
+    def fill(self, array: np.ndarray) -> None:
+        """Read the next ``array.size`` float32 LE values into ``array``."""
+        if array.dtype != PAYLOAD_DTYPE:
+            array[...] = np.frombuffer(self.exact(array.size * PAYLOAD_DTYPE.itemsize),
+                                       dtype=PAYLOAD_DTYPE).reshape(array.shape)
+        elif self.fh.readinto(memoryview(array).cast("B")) != array.nbytes:
+            raise RecordFormatError(f"{self.path}: truncated checkpoint file")
+
     def u32(self) -> int:
         return struct.unpack("<I", self.exact(4))[0]
 
@@ -103,7 +112,12 @@ class _Reader:
 
 
 def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
-    """Reconstruct a model from a checkpoint file."""
+    """Reconstruct a model from a checkpoint file.
+
+    The config block declares the model's arrays and the payloads fill them:
+    no initializer runs, and where ``dtype`` is the payload's float32 LE each
+    payload is read straight into its array.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"checkpoint not found: {path}")
@@ -117,14 +131,13 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
                 f"{path}: unsupported checkpoint version {version}, expected {VERSION}")
         config_block = reader.text(reader.u32(), "config block")
         config, epoch = _parse_config_text(config_block, path)
-        model = build_model(config, seed=0, dtype=dtype)
+        model = SeismoNet(config, dtype=dtype)
         model.trained_epochs = epoch
 
-        params = dict(model.params.items())
-        # The shape each tensor must have, checked before its payload is read,
-        # so a corrupted dim cannot request an oversized read.
-        shapes = {name: p.values.shape for name, p in params.items()}
-        shapes.update((name, values.shape) for name, values in model.named_buffers())
+        # The array of each tensor. Its shape is checked before its payload
+        # is read, so a corrupted dim cannot request an oversized read.
+        arrays = {name: param.values for name, param in model.params.items()}
+        arrays.update(model.named_buffers())
         seen: set[str] = set()
         while True:
             head = fh.read(4)
@@ -133,9 +146,9 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
             if len(head) != 4:
                 raise RecordFormatError(f"{path}: truncated checkpoint file")
             name = reader.text(struct.unpack("<I", head)[0], "tensor name")
-            if name not in shapes:
+            if name not in arrays:
                 raise RecordFormatError(f"{path}: unexpected tensor {name!r}")
-            shape = shapes[name]
+            shape = arrays[name].shape
             rank = reader.u32()
             if rank != len(shape):
                 raise ValidationError(
@@ -144,17 +157,10 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
             if dims != shape:
                 raise ValidationError(
                     f"{path}: tensor {name!r} has shape {dims}, config implies {shape}")
-            raw = reader.exact(4 * int(np.prod(shape, dtype=np.int64)))
-            values = np.frombuffer(raw, dtype="<f4").reshape(shape)
-            if name in params:
-                param = params[name]
-                param.values = values.astype(model.dtype)
-                param.grad = np.zeros_like(param.values)
-            else:
-                model.set_buffer(name, values)
+            reader.fill(arrays[name])
             seen.add(name)
 
-    missing = set(shapes) - seen
+    missing = set(arrays) - seen
     if missing:
         raise RecordFormatError(
             f"{path}: checkpoint is missing tensors: {sorted(missing)[:4]}...")

@@ -80,16 +80,17 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    train_cfg = cfg.section(TrainConfig)
     records = _load_records(cfg)
     split = _windows_split(cfg, records)
     if not split.train:
         raise InsufficientDataError("no labeled training windows")
     input_len = split.train[0].length
-    model = build_model(cfg.section(ModelConfig, input_len=input_len), seed=cfg["train.seed"])
+    model = build_model(cfg.section(ModelConfig, input_len=input_len), seed=train_cfg.seed)
 
     out_dir = cfg.out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, history = train(model, split, cfg.section(TrainConfig), checkpoint_dir=out_dir)
+    model, history = train(model, split, train_cfg, checkpoint_dir=out_dir)
     history.to_csv(out_dir / "history.csv")
     last = history.records[-1]
     print(f"trained {len(history)} epochs; final train loss {last.train_loss:.6f}, "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -130,19 +131,23 @@ def _same_pad(kernel: int) -> int:
     return (kernel - 1) // 2
 
 
+def _constant(value: float):
+    return lambda rng: value
+
+
 class _Conv:
-    """One convolution layer: registered weight/bias plus its spec."""
+    """One convolution layer: declared weight/bias plus its spec."""
 
     def __init__(self, store: ParamStore, name: str, in_ch: int, out_ch: int,
-                 kernel: int, rng, dtype, stride: int = 1, padding: int = 0,
+                 kernel: int, dtype, stride: int = 1, padding: int = 0,
                  transposed: bool = False):
         self.spec = ConvSpec(in_ch, out_ch, kernel, stride, padding, transposed)
         fan_in = in_ch * kernel
         fan_out = out_ch * kernel
         shape = (in_ch, out_ch, kernel) if transposed else (out_ch, in_ch, kernel)
-        weights = xavier_uniform_init(shape, fan_in, fan_out, rng).astype(dtype)
-        self.weight = store.register(f"{name}.weight", weights)
-        self.bias = store.register(f"{name}.bias", np.zeros(out_ch, dtype=dtype))
+        self.weight = store.declare(f"{name}.weight", shape, dtype,
+                                    partial(xavier_uniform_init, shape, fan_in, fan_out))
+        self.bias = store.declare(f"{name}.bias", (out_ch,), dtype, _constant(0.0))
 
     def __call__(self, x: SignalTensor, tape: Tape | None) -> SignalTensor:
         if self.spec.transposed:
@@ -152,8 +157,8 @@ class _Conv:
 
 class _Norm:
     def __init__(self, store: ParamStore, name: str, channels: int, cfg: ModelConfig, dtype):
-        gamma = store.register(f"{name}.gamma", np.ones(channels, dtype=dtype))
-        beta = store.register(f"{name}.beta", np.zeros(channels, dtype=dtype))
+        gamma = store.declare(f"{name}.gamma", (channels,), dtype, _constant(1.0))
+        beta = store.declare(f"{name}.beta", (channels,), dtype, _constant(0.0))
         self.state = BatchNormState(gamma, beta, cfg.bn_momentum, cfg.bn_eps)
 
     def __call__(self, x: SignalTensor, tape: Tape | None, training: bool) -> SignalTensor:
@@ -169,14 +174,14 @@ class InceptionResidualBlock:
     """
 
     def __init__(self, store: ParamStore, name: str, channels: int,
-                 cfg: ModelConfig, rng, dtype):
+                 cfg: ModelConfig, dtype):
         kernels = cfg.inception_kernels[:min(len(cfg.inception_kernels), channels)]
         n_branches = len(kernels)
         base, rem = divmod(channels, n_branches)
         widths = [base + 1 if i < rem else base for i in range(n_branches)]
         self.slope = cfg.leaky_slope
         self.branches = [
-            _Conv(store, f"{name}.branch{i}", channels, width, k, rng, dtype,
+            _Conv(store, f"{name}.branch{i}", channels, width, k, dtype,
                   padding=_same_pad(k))
             for i, (k, width) in enumerate(zip(kernels, widths))
         ]
@@ -192,11 +197,11 @@ class EnsembleAveragingBlock:
     """Entry stage: widen 1 channel to the entry width, then mix across
     channels with a kernel-1 convolution. Length-preserving."""
 
-    def __init__(self, store: ParamStore, cfg: ModelConfig, rng, dtype):
+    def __init__(self, store: ParamStore, cfg: ModelConfig, dtype):
         c = cfg.resolved_entry_channels
-        self.entry = _Conv(store, "ensemble.entry", 1, c, cfg.entry_kernel, rng,
-                           dtype, padding=_same_pad(cfg.entry_kernel))
-        self.mix = _Conv(store, "ensemble.mix", c, c, 1, rng, dtype)
+        self.entry = _Conv(store, "ensemble.entry", 1, c, cfg.entry_kernel, dtype,
+                           padding=_same_pad(cfg.entry_kernel))
+        self.mix = _Conv(store, "ensemble.mix", c, c, 1, dtype)
 
     def forward(self, x: SignalTensor, tape: Tape | None, training: bool) -> SignalTensor:
         return self.mix(self.entry(x, tape), tape)
@@ -206,17 +211,17 @@ class ContractingBlock:
     """Double the channels, normalize, activate, stride-downsample, refine."""
 
     def __init__(self, store: ParamStore, name: str, in_ch: int,
-                 cfg: ModelConfig, rng, dtype):
+                 cfg: ModelConfig, dtype):
         out_ch = 2 * in_ch
         self.slope = cfg.leaky_slope
         self.widen = _Conv(store, f"{name}.widen", in_ch, out_ch, cfg.conv_kernel,
-                           rng, dtype, padding=_same_pad(cfg.conv_kernel))
+                           dtype, padding=_same_pad(cfg.conv_kernel))
         self.norm = _Norm(store, f"{name}.norm", out_ch, cfg, dtype)
         self.down = _Conv(store, f"{name}.down", out_ch, out_ch, cfg.down_kernel,
-                          rng, dtype, stride=cfg.down_stride,
+                          dtype, stride=cfg.down_stride,
                           padding=_same_pad(cfg.down_kernel))
         self.refine = InceptionResidualBlock(store, f"{name}.incept", out_ch, cfg,
-                                             rng, dtype)
+                                             dtype)
 
     def forward(self, x: SignalTensor, tape: Tape | None, training: bool) -> SignalTensor:
         h = self.widen(x, tape)
@@ -237,23 +242,23 @@ class ExpandingBlock:
     """
 
     def __init__(self, store: ParamStore, name: str, in_ch: int,
-                 skip_ch: int | None, cfg: ModelConfig, rng, dtype):
+                 skip_ch: int | None, cfg: ModelConfig, dtype):
         self.slope = cfg.leaky_slope
         self.proj = None
         merged = in_ch
         if skip_ch is not None:
-            self.proj = _Conv(store, f"{name}.skip_proj", skip_ch, in_ch, 1, rng, dtype)
+            self.proj = _Conv(store, f"{name}.skip_proj", skip_ch, in_ch, 1, dtype)
             merged = 2 * in_ch
         mid = merged // 2
         out_ch = merged // 4
         self.narrow = _Conv(store, f"{name}.narrow", merged, mid, cfg.conv_kernel,
-                            rng, dtype, padding=_same_pad(cfg.conv_kernel))
+                            dtype, padding=_same_pad(cfg.conv_kernel))
         self.norm = _Norm(store, f"{name}.norm", mid, cfg, dtype)
-        self.up = _Conv(store, f"{name}.up", mid, out_ch, cfg.up_kernel, rng, dtype,
+        self.up = _Conv(store, f"{name}.up", mid, out_ch, cfg.up_kernel, dtype,
                         stride=cfg.down_stride, padding=_same_pad(cfg.up_kernel),
                         transposed=True)
         self.refine = InceptionResidualBlock(store, f"{name}.incept", out_ch, cfg,
-                                             rng, dtype)
+                                             dtype)
         self.out_channels = out_ch
 
     def forward(self, x: SignalTensor, skip: SignalTensor | None, target_len: int,
@@ -277,13 +282,11 @@ class ExpandingBlock:
 class DenoisingBlock:
     """Restore the input length and collapse to one output channel."""
 
-    def __init__(self, store: ParamStore, in_ch: int, cfg: ModelConfig, rng, dtype):
+    def __init__(self, store: ParamStore, in_ch: int, cfg: ModelConfig, dtype):
         self.slope = cfg.leaky_slope
         self.output_len = cfg.input_len
-        self.conv1 = _Conv(store, "denoise.conv1", in_ch, in_ch, 3, rng, dtype,
-                           padding=1)
-        self.conv2 = _Conv(store, "denoise.conv2", in_ch, 1, 3, rng, dtype,
-                           padding=1)
+        self.conv1 = _Conv(store, "denoise.conv1", in_ch, in_ch, 3, dtype, padding=1)
+        self.conv2 = _Conv(store, "denoise.conv2", in_ch, 1, 3, dtype, padding=1)
 
     def forward(self, x: SignalTensor, tape: Tape | None, training: bool) -> SignalTensor:
         if x.length > 2 * self.output_len:
@@ -297,25 +300,28 @@ class DenoisingBlock:
 
 
 class SeismoNet:
-    """The assembled network; build instances with :func:`build_model`."""
+    """The assembled network.
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=DEFAULT_DTYPE):
+    Construction declares the parameters (allocated, not initialized), so
+    build instances with :func:`build_model`, which draws them, or with
+    ``checkpoint.load_checkpoint``, which reads them from a file.
+    """
+
+    def __init__(self, config: ModelConfig, dtype=DEFAULT_DTYPE):
         config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params = ParamStore()
         self.trained_epochs = 0
-        rng = np.random.default_rng(seed)
 
         enc_channels = config.encoder_channels()
         self._enc_lengths = config.encoder_lengths()
 
-        self.ensemble = EnsembleAveragingBlock(self.params, config, rng, dtype)
+        self.ensemble = EnsembleAveragingBlock(self.params, config, dtype)
         self.contracting: list[ContractingBlock] = []
         in_ch = config.resolved_entry_channels
         for n in range(config.levels):
-            block = ContractingBlock(self.params, f"ccb{n + 1}", in_ch, config,
-                                     rng, dtype)
+            block = ContractingBlock(self.params, f"ccb{n + 1}", in_ch, config, dtype)
             self.contracting.append(block)
             in_ch = enc_channels[n]
 
@@ -324,11 +330,11 @@ class SeismoNet:
         for n in range(config.levels):
             skip_ch = None if n == 0 else enc_channels[config.levels - 1 - n]
             block = ExpandingBlock(self.params, f"ecb{n + 1}", dec_ch, skip_ch,
-                                   config, rng, dtype)
+                                   config, dtype)
             self.expanding.append(block)
             dec_ch = block.out_channels
 
-        self.denoise = DenoisingBlock(self.params, dec_ch, config, rng, dtype)
+        self.denoise = DenoisingBlock(self.params, dec_ch, config, dtype)
 
         self._norms: dict[str, BatchNormState] = {}
         for n, block in enumerate(self.contracting):
@@ -351,15 +357,6 @@ class SeismoNet:
             out.append((f"{name}.running_mean", state.running_mean))
             out.append((f"{name}.running_var", state.running_var))
         return out
-
-    def set_buffer(self, name: str, values: np.ndarray) -> None:
-        base, attr = name.rsplit(".", 1)
-        state = self._norms[base]
-        current = getattr(state, attr)
-        if current.shape != values.shape:
-            raise ValidationError(
-                f"buffer {name!r} shape {values.shape} != expected {current.shape}")
-        setattr(state, attr, values.astype(current.dtype))
 
     def forward(self, x: SignalTensor, tape: Tape | None = None,
                 training: bool = False) -> SignalTensor:
@@ -400,5 +397,11 @@ class SeismoNet:
 
 
 def build_model(config: ModelConfig, seed: int = 0, dtype=DEFAULT_DTYPE) -> SeismoNet:
-    """Instantiate the network with Xavier-initialized weights."""
-    return SeismoNet(config, seed=seed, dtype=dtype)
+    """Instantiate the network with Xavier-initialized weights.
+
+    One generator seeded with ``seed`` fills the parameters in declaration
+    order; biases and batch-norm shifts start at 0, batch-norm scales at 1.
+    """
+    model = SeismoNet(config, dtype=dtype)
+    model.params.initialize(np.random.default_rng(seed))
+    return model

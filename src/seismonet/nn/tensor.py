@@ -11,13 +11,14 @@ connections, residual adds) receive summed gradients for free.
 A tensor's gradient lives in a ``GradSlot``: the buffer, allocated (zeroed)
 on first read, plus the shape, dtype and ``requires_grad`` it needs. A
 tensor makes its slot on first use, so a forward pass without a tape makes
-no slot and allocates no gradient. A taped op's closure captures the slots
-of its input and output and only the arrays its backward reads (a conv's
-input values, batch norm's ``xhat``, leaky ReLU's mask), never the tensors
-themselves. So an activation that no backward reads is freed as soon as the
-forward drops the tensor, and ``Tape.backward()`` drops each closure right
-after running it: the op's saved arrays and its output gradient are freed
-once no closure still to run can read them.
+no slot and allocates no gradient; a ``Parameter``'s gradient follows the
+same rule. A taped op's closure captures the slots of its input and output
+and only the arrays its backward reads (a conv's input values, batch norm's
+``xhat``, leaky ReLU's mask), never the tensors themselves. So an
+activation that no backward reads is freed as soon as the forward drops the
+tensor, and ``Tape.backward()`` drops each closure right after running it:
+the op's saved arrays and its output gradient are freed once no closure
+still to run can read them.
 """
 from __future__ import annotations
 
@@ -137,13 +138,28 @@ class SignalTensor:
 
 
 class Parameter:
-    """A trainable array with an accumulated gradient."""
+    """A trainable array with an accumulated gradient.
 
-    __slots__ = ("values", "grad")
+    The gradient follows the ``GradSlot`` rule: its buffer is allocated,
+    zeroed, on first read, so a model that only runs inference holds none.
+    """
+
+    __slots__ = ("values", "_grad")
 
     def __init__(self, values: np.ndarray):
         self.values = np.asarray(values)
-        self.grad = np.zeros_like(self.values)
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        # ``p.grad += g`` reads the buffer, adds in place, then assigns it back.
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -154,21 +170,31 @@ class Parameter:
         return self.values.dtype
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0
+        if self._grad is not None:
+            self._grad[...] = 0
 
     def __repr__(self) -> str:
         return f"Parameter(shape={self.values.shape}, dtype={self.values.dtype})"
+
+
+# Fills a declared parameter: an array (or a scalar) from the generator.
+Initializer = Callable[[np.random.Generator], "np.ndarray | float"]
 
 
 class ParamStore:
     """Ordered, uniquely named collection of parameters.
 
     Iteration order is insertion order, which makes optimizer sweeps and
-    checkpoint layout deterministic.
+    checkpoint layout deterministic. A parameter is either registered with
+    its values or declared with its shape and initializer: declaring
+    allocates the array and draws nothing, and ``initialize`` runs the
+    initializers in declaration order, so whoever fills the arrays another
+    way (a checkpoint load) pays for no draw.
     """
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
+        self._inits: list[tuple[Parameter, Initializer]] = []
 
     def register(self, name: str, values: np.ndarray) -> Parameter:
         if name in self._params:
@@ -176,6 +202,18 @@ class ParamStore:
         param = Parameter(values)
         self._params[name] = param
         return param
+
+    def declare(self, name: str, shape: tuple[int, ...], dtype,
+                init: Initializer) -> Parameter:
+        """Register an uninitialized ``shape`` array that ``initialize`` fills."""
+        param = self.register(name, np.empty(shape, dtype=dtype))
+        self._inits.append((param, init))
+        return param
+
+    def initialize(self, rng: np.random.Generator) -> None:
+        """Fill every declared parameter from its initializer, in declaration order."""
+        for param, init in self._inits:
+            param.values[...] = init(rng)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]

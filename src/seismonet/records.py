@@ -14,7 +14,6 @@ from itertools import islice
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import RecordFormatError, ValidationError
 
@@ -238,6 +237,9 @@ def annotate_ecg_rpeaks(ecg: np.ndarray, fs: float) -> np.ndarray:
     baseline excursion of the raw ECG within +-100 ms. A flat signal
     yields an empty result.
     """
+    # Imported here: scipy.signal costs about 0.9 s and 77 MB RSS to load.
+    from scipy.signal import find_peaks
+
     ecg = np.asarray(ecg, dtype=np.float64)
     if ecg.size < 2 * fs:
         raise ValidationError(f"need at least 2 s of signal, got {ecg.size / fs:.3f} s")

@@ -33,6 +33,11 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
             raise ValidationError(f"lr0 must be > 0, got {self.lr0}")
+        if self.checkpoint_every < 0:
+            # 0 turns periodic checkpoints off; a negative period would divide
+            # every epoch number.
+            raise ValidationError(
+                f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
 
 
 @dataclass

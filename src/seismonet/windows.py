@@ -17,7 +17,8 @@ class Window:
 
     ``target_dt`` holds the per-sample distance (in samples) to the nearest
     locally annotated R-peak; ``rpeaks_local`` are annotation indices
-    relative to ``start``.
+    relative to ``start``. ``segment_windows`` makes ``scg_seg`` a read-only
+    view of the record's samples, so overlapping windows share memory.
     """
 
     subject_id: str
@@ -101,7 +102,8 @@ def segment_windows(record: Record, w_sec: float, hop_sec: float,
         stop = np.searchsorted(record.rpeaks, np.add(starts, w), side="left").tolist()
     windows = []
     for n, start in enumerate(starts):
-        seg = record.scg[start:start + w].copy()
+        seg = record.scg[start:start + w]
+        seg.flags.writeable = False
         local = None
         target = None
         if record.rpeaks is not None:

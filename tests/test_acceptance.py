@@ -215,9 +215,8 @@ def check_inception(rng):
 
     def build():
         store = ParamStore()
-        block = InceptionResidualBlock(store, "b", channels, cfg,
-                                       np.random.default_rng(rng.integers(1000)),
-                                       np.float64)
+        block = InceptionResidualBlock(store, "b", channels, cfg, np.float64)
+        store.initialize(np.random.default_rng(rng.integers(1000)))
         _nudge_biases(store, rng)
         return block, store
 
@@ -229,9 +228,8 @@ def check_ensemble(rng):
     cfg = ModelConfig(input_len=length, levels=1, base_channels=4)
     store = ParamStore()
     from seismonet.model import EnsembleAveragingBlock
-    block = EnsembleAveragingBlock(store, cfg,
-                                   np.random.default_rng(rng.integers(1000)),
-                                   np.float64)
+    block = EnsembleAveragingBlock(store, cfg, np.float64)
+    store.initialize(np.random.default_rng(rng.integers(1000)))
     _nudge_biases(store, rng)
     # two plain convolutions: no activation kinks inside
     xt = SignalTensor(rng.normal(size=(2, 1, length)))
@@ -253,8 +251,8 @@ def check_denoise(rng):
     def build():
         store = ParamStore()
         from seismonet.model import DenoisingBlock
-        block = DenoisingBlock(store, 2, cfg,
-                               np.random.default_rng(rng.integers(1000)), np.float64)
+        block = DenoisingBlock(store, 2, cfg, np.float64)
+        store.initialize(np.random.default_rng(rng.integers(1000)))
         _nudge_biases(store, rng)
         return block, store
 

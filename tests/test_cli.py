@@ -1,7 +1,13 @@
 """End-to-end CLI flows on a tiny synthetic corpus."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import seismonet
 from conftest import first_dim_offset, first_name_last_byte
 from seismonet.cli import main
 from seismonet.records import load_record
@@ -179,6 +185,34 @@ def test_train_epochs_override(workspace):
     assert run(config, "train", "--epochs", "1") == 0
     history = (tmp / "out" / "history.csv").read_text().strip().splitlines()
     assert len(history) == 2
+
+
+def test_negative_checkpoint_period_exits_one(workspace, capsys):
+    tmp, config = workspace
+    assert run(config, "synth") == 0
+    assert main(["--config", str(config), "--set", "train.checkpoint_every=-1",
+                 "train"]) == 1
+    assert "checkpoint_every must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+def test_zero_checkpoint_period_writes_no_periodic_checkpoint(workspace):
+    tmp, config = workspace
+    assert run(config, "synth") == 0
+    assert main(["--config", str(config), "--set", "train.checkpoint_every=0",
+                 "train", "--epochs", "1"]) == 0
+    assert not list((tmp / "out").glob("model_epoch*.smn"))
+    assert (tmp / "out" / "model_final.smn").exists()
+
+
+def test_python_m_seismonet_runs_the_cli():
+    src = Path(seismonet.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "seismonet", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: seismonet")
 
 
 def test_set_override_applies(workspace):

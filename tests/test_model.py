@@ -122,8 +122,8 @@ def test_denoise_restores_length():
 def test_inception_channel_split_11_11_10():
     store = ParamStore()
     cfg = ModelConfig(input_len=64, levels=1, base_channels=32)
-    block = InceptionResidualBlock(store, "b", 32, cfg, np.random.default_rng(0),
-                                   np.float64)
+    block = InceptionResidualBlock(store, "b", 32, cfg, np.float64)
+    store.initialize(np.random.default_rng(0))
     widths = [c.spec.out_channels for c in block.branches]
     assert widths == [11, 11, 10]
     out = block.forward(SignalTensor(np.zeros((1, 32, 100))), None, False)
@@ -133,8 +133,8 @@ def test_inception_channel_split_11_11_10():
 def test_inception_zero_weights_acts_as_leaky_relu(rng):
     store = ParamStore()
     cfg = ModelConfig(input_len=64, levels=1, base_channels=8)
-    block = InceptionResidualBlock(store, "b", 8, cfg, np.random.default_rng(1),
-                                   np.float64)
+    block = InceptionResidualBlock(store, "b", 8, cfg, np.float64)
+    store.initialize(np.random.default_rng(1))
     for _, p in store.items():
         p.values[...] = 0.0
     x = SignalTensor(rng.normal(size=(2, 8, 30)))
@@ -146,8 +146,8 @@ def test_inception_zero_weights_acts_as_leaky_relu(rng):
 def test_inception_branch_cap_on_narrow_features():
     store = ParamStore()
     cfg = ModelConfig(input_len=64, levels=1, base_channels=4)
-    block = InceptionResidualBlock(store, "b", 2, cfg, np.random.default_rng(2),
-                                   np.float64)
+    block = InceptionResidualBlock(store, "b", 2, cfg, np.float64)
+    store.initialize(np.random.default_rng(2))
     assert len(block.branches) == 2  # capped at channel count
     out = block.forward(SignalTensor(np.zeros((1, 2, 16))), None, False)
     assert out.shape == (1, 2, 16)

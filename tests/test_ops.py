@@ -392,6 +392,31 @@ def test_sgd_nonfinite_gradient_rejected():
         sgd_step(store, lr=0.1)
 
 
+def test_parameter_gradient_allocated_on_first_read():
+    p = Parameter(np.ones((2, 3), np.float32))
+    p.zero_grad()
+    assert p._grad is None  # zeroing a gradient never read allocates nothing
+    g = p.grad
+    assert g.shape == (2, 3) and g.dtype == np.float32 and not g.any()
+    p.grad += 2.0
+    p.zero_grad()
+    assert p.grad is g and not g.any()
+
+
+def test_declared_parameters_are_drawn_in_declaration_order():
+    store = ParamStore()
+    a = store.declare("a", (2, 3), np.float32, lambda rng: rng.uniform(size=(2, 3)))
+    b = store.declare("b", (4,), np.float32, lambda rng: 1.0)
+    c = store.declare("c", (5,), np.float32, lambda rng: rng.uniform(size=5))
+    assert store.names() == ["a", "b", "c"]
+    store.initialize(np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    np.testing.assert_array_equal(a.values, rng.uniform(size=(2, 3)).astype(np.float32))
+    np.testing.assert_array_equal(b.values, np.ones(4, np.float32))
+    np.testing.assert_array_equal(c.values, rng.uniform(size=5).astype(np.float32))
+    assert c.values.dtype == np.float32
+
+
 def test_lr_schedule_default_decade_steps():
     assert lr_schedule(0, 0.001, 100, 10) == pytest.approx(0.001)
     assert lr_schedule(100, 0.001, 100, 10) == pytest.approx(0.0001)

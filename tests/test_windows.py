@@ -121,6 +121,18 @@ def test_overlapping_windows_reconstruct_stream():
     np.testing.assert_array_equal(np.concatenate(pieces), record.scg)
 
 
+def test_scg_seg_is_a_read_only_view_of_the_record():
+    record = _record(20.0, fs=100.0, with_peaks=False, seed=5)
+    before = record.scg.copy()
+    windows = segment_windows(record, 2.0, 1.0)
+    for win in windows:
+        assert np.shares_memory(win.scg_seg, record.scg)
+        np.testing.assert_array_equal(win.scg_seg, before[win.start:win.start + win.length])
+    with pytest.raises(ValueError, match="read-only"):
+        windows[3].scg_seg[0] = 1.0
+    np.testing.assert_array_equal(record.scg, before)
+
+
 def test_windows_carry_local_annotations_and_targets():
     record = _record(30.0)
     windows = segment_windows(record, 2.0, 1.0)
