@@ -161,7 +161,11 @@ def cmd_hrv(cfg: RunConfig) -> int:
     for record in records:
         peaks = record.rpeaks
         if peaks is None and record.ecg is not None:
-            peaks = annotate_ecg_rpeaks(record.ecg, record.fs)
+            try:
+                peaks = annotate_ecg_rpeaks(record.ecg, record.fs)
+            except ValidationError as exc:
+                print(f"skipping {record.subject_id!r}: {exc}")
+                continue
         if peaks is None or peaks.size < 3:
             print(f"skipping {record.subject_id!r}: fewer than 3 annotated peaks")
             continue

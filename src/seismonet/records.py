@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +59,22 @@ def validate_annotations(indices: np.ndarray, length: int) -> None:
             f"annotation indices must lie in [0, {length - 1}]")
 
 
+# Data rows per vectorised parse call. Beyond the sample columns it returns,
+# the parse holds one chunk's work: its (rows, columns) float64 table and the
+# checks on it, under three such tables in all.
+CHUNK_ROWS = 65536
+
+
 def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> Record:
     """Load a record CSV plus its optional sibling annotation file.
 
-    The data rows are parsed by one vectorised call; when that call fails,
-    or yields a table of another width, the strict line loop parses the
-    file again and raises the ``RecordFormatError`` naming the line.
+    The data rows are parsed by one vectorised call per chunk of
+    ``CHUNK_ROWS`` rows, straight into sample columns sized from the file's
+    line count; the time column is checked as it goes and never held whole.
+    When a call fails, or yields a table of another width, the strict line
+    loop parses the file again and raises the ``RecordFormatError`` naming
+    the line. A parse error wins over a non-finite value, which wins over a
+    time column that does not strictly increase.
     """
     path = Path(path)
     try:
@@ -74,20 +84,19 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
             if columns not in (["t", "scg"], ["t", "scg", "ecg"]):
                 raise RecordFormatError(
                     f"{path}: expected header 't,scg' or 't,scg,ecg', got {header!r}")
-            data = _parse_rows_fast(fh, len(columns))
+            capacity = _count_line_ends(path)
+            data = _parse_rows_fast(fh, len(columns), capacity)
             if data is None:
                 fh.seek(0)
                 fh.readline()
-                data = _parse_rows_strict(fh, path, len(columns))
+                data = _parse_rows_strict(fh, path, len(columns), capacity)
     except UnicodeDecodeError:
         raise RecordFormatError(f"{path}: not valid UTF-8") from None
 
-    finite = np.isfinite(data).all(axis=0)
-    if not finite.all():
-        lineno = _line_of_row(path, int(np.argmin(finite)))
+    if data.bad_row is not None:
+        lineno = _line_of_row(path, data.bad_row)
         raise RecordFormatError(f"{path}:{lineno}: non-finite value")
-    times = data[0]
-    if times.size > 1 and np.any(np.diff(times) <= 0):
+    if not data.increasing:
         raise RecordFormatError(f"{path}: time column is not strictly increasing")
 
     rpeaks = None
@@ -98,34 +107,100 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
     return Record(
         subject_id=subject_id or path.stem,
         fs=fs,
-        scg=data[1],
-        ecg=data[2] if len(columns) == 3 else None,
+        scg=data.samples[0],
+        ecg=data.samples[1] if len(columns) == 3 else None,
         rpeaks=rpeaks,
     )
 
 
-def _parse_rows_fast(fh, n_columns: int) -> np.ndarray | None:
-    """The remaining rows of ``fh`` as a (columns, rows) array, or None.
+class _Columns:
+    """Sample columns filled one table of rows at a time, checked on arrival.
+
+    ``samples`` holds one owned array per column after the time column.
+    ``bad_row`` is the first data row (0-based) holding a non-finite value,
+    and ``increasing`` says whether every time so far exceeds the one
+    before; only the last time is kept across tables. (The first time
+    counts as rising from -inf. A non-finite time may read as not rising,
+    but a non-finite value is reported ahead of the times anyway.)
+    """
+
+    def __init__(self, n_columns: int, capacity: int):
+        self.samples = tuple(np.empty(capacity) for _ in range(n_columns - 1))
+        self.rows = 0
+        self.bad_row: int | None = None
+        self.increasing = True
+        self._last_time = -np.inf
+
+    def append(self, table: np.ndarray) -> None:
+        """Take a non-empty (rows, columns) table."""
+        n = len(table)
+        if self.bad_row is None and not np.isfinite(table).all():
+            self.bad_row = self.rows + int(np.argmin(np.isfinite(table).all(axis=1)))
+        times = table[:, 0]
+        if self.increasing:
+            self.increasing = bool(times[0] > self._last_time
+                                   and not np.any(times[1:] <= times[:-1]))
+        self._last_time = times[-1]
+        for col, samples in enumerate(self.samples, start=1):
+            samples[self.rows:self.rows + n] = table[:, col]
+        self.rows += n
+
+    def trimmed(self) -> "_Columns":
+        """Shrink the columns in place to the rows written (the header's
+        line end and any blank lines make the line count too high)."""
+        for samples in self.samples:
+            if samples.size != self.rows:
+                samples.resize(self.rows, refcheck=False)
+        return self
+
+
+def _count_line_ends(path: Path) -> int:
+    """Line ends in a file as text mode reads them (``\\n``, ``\\r\\n``,
+    lone ``\\r``): at least the number of data rows after the header."""
+    count = 0
+    cr_before = False
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            count += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")))
+            if b"\r" in block:
+                count += block.count(b"\r") - block.count(b"\r\n")
+            if cr_before and block.startswith(b"\n"):
+                count -= 1  # one \r\n split across two blocks
+            cr_before = block.endswith(b"\r")
+    return count
+
+
+def _parse_rows_fast(fh, n_columns: int, capacity: int) -> _Columns | None:
+    """The remaining rows of ``fh`` as checked columns, or None.
 
     Lines the strict loop skips (empty after ``str.strip()``) are dropped
-    first. None means the strict loop must decide: the parse failed, warned
-    (a file without data rows warns) or found rows of another width. Where
-    it succeeds, it reads the same rows and values as the strict loop.
+    first; the rest go to ``np.loadtxt`` ``CHUNK_ROWS`` at a time. None
+    means the strict loop must decide: a call failed or warned, a chunk had
+    rows of another width, or there were no data rows. Where it succeeds, it
+    reads the same rows and values as the strict loop.
     """
     lines = (line for line in fh if line.strip())
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, UserWarning):
+    data = _Columns(n_columns, capacity)
+    for first in lines:
+        chunk = chain((first,), islice(lines, CHUNK_ROWS - 1))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(chunk, dtype=np.float64, delimiter=",", comments=None,
+                                   ndmin=2)
+        except (ValueError, UserWarning):
+            return None
+        if table.shape[1] != n_columns:
+            return None
+        data.append(table)
+    if data.rows == 0:
         return None
-    if rows.shape[1] != n_columns:
-        return None
-    return np.ascontiguousarray(rows.T)
+    return data.trimmed()
 
 
-def _parse_rows_strict(fh, path: Path, n_columns: int) -> np.ndarray:
+def _parse_rows_strict(fh, path: Path, n_columns: int, capacity: int) -> _Columns:
     """The remaining rows of ``fh``, line by line; the first bad line raises."""
+    data = _Columns(n_columns, capacity)
     rows = []
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
@@ -139,7 +214,12 @@ def _parse_rows_strict(fh, path: Path, n_columns: int) -> np.ndarray:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
-    return np.ascontiguousarray(np.array(rows, dtype=np.float64).reshape(-1, n_columns).T)
+        if len(rows) == CHUNK_ROWS:
+            data.append(np.array(rows, dtype=np.float64))
+            rows = []
+    if rows:
+        data.append(np.array(rows, dtype=np.float64))
+    return data.trimmed()
 
 
 def _line_of_row(path: Path, row: int) -> int:
@@ -153,6 +233,9 @@ def annotation_path(record_path: str | Path) -> Path:
     return Path(str(record_path) + ".rpeaks")
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def load_annotations(path: str | Path) -> np.ndarray:
     indices = []
     try:
@@ -162,9 +245,12 @@ def load_annotations(path: str | Path) -> np.ndarray:
                 if not line:
                     continue
                 try:
-                    indices.append(int(line))
+                    index = int(line)
                 except ValueError as exc:
                     raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+                if not _INT64.min <= index <= _INT64.max:
+                    raise RecordFormatError(f"{path}:{lineno}: index out of the int64 range")
+                indices.append(index)
     except UnicodeDecodeError:
         raise RecordFormatError(f"{path}: not valid UTF-8") from None
     indices = np.asarray(indices, dtype=np.int64)

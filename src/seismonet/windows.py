@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -11,21 +11,30 @@ from .errors import InsufficientDataError, ValidationError
 from .records import Record
 
 
+# Window._target until the target is first read or assigned.
+_UNBUILT = object()
+
+
 @dataclass
 class Window:
     """One fixed-length SCG segment with optional regression target.
 
-    ``target_dt`` holds the per-sample distance (in samples) to the nearest
-    locally annotated R-peak; ``rpeaks_local`` are annotation indices
-    relative to ``start``. ``segment_windows`` makes ``scg_seg`` a read-only
+    ``rpeaks_local`` are annotation indices relative to ``start``. A window
+    is labeled when at least one of them falls inside it; its ``target_dt``,
+    the per-sample distance (in samples) to the nearest local annotation,
+    clipped at ``dt_clip`` when set, is then built on its first read and
+    kept, so a window that is never trained on holds none. Assigning
+    ``target_dt`` replaces it: an array is returned as is, and None makes
+    the window unlabeled. ``segment_windows`` makes ``scg_seg`` a read-only
     view of the record's samples, so overlapping windows share memory.
     """
 
     subject_id: str
     start: int
     scg_seg: np.ndarray
-    target_dt: np.ndarray | None = None
     rpeaks_local: np.ndarray | None = None
+    dt_clip: float | None = None
+    _target: object = field(default=_UNBUILT, init=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -33,7 +42,25 @@ class Window:
 
     @property
     def labeled(self) -> bool:
-        return self.target_dt is not None
+        if self._target is _UNBUILT:
+            return self.rpeaks_local is not None and self.rpeaks_local.size > 0
+        return self._target is not None
+
+    @property
+    def target_dt(self) -> np.ndarray | None:
+        if self._target is not _UNBUILT:
+            return self._target
+        if not self.labeled:
+            return None
+        target = distance_transform(self.rpeaks_local, self.length).astype(np.float64)
+        if self.dt_clip is not None:
+            np.minimum(target, float(self.dt_clip), out=target)
+        self._target = target
+        return target
+
+    @target_dt.setter
+    def target_dt(self, value: np.ndarray | None) -> None:
+        self._target = value
 
 
 @dataclass
@@ -83,9 +110,10 @@ def segment_windows(record: Record, w_sec: float, hop_sec: float,
 
     Windows start at 0, hop, 2*hop, ... while they fit entirely inside the
     record, giving floor((L-w)/hop)+1 windows. When the record carries
-    R-peak annotations, each window receives local annotation indices and,
-    if at least one annotation falls inside it, a distance-transform target
-    (optionally clipped at ``dt_clip`` samples).
+    R-peak annotations, each window receives its local annotation indices
+    and ``dt_clip``; its distance-transform target (optionally clipped at
+    ``dt_clip`` samples) is built when first read, if at least one
+    annotation falls inside it.
     """
     w = _whole_samples(w_sec, record.fs, "window length")
     hop = _whole_samples(hop_sec, record.fs, "hop")
@@ -105,14 +133,9 @@ def segment_windows(record: Record, w_sec: float, hop_sec: float,
         seg = record.scg[start:start + w]
         seg.flags.writeable = False
         local = None
-        target = None
         if record.rpeaks is not None:
             local = record.rpeaks[first[n]:stop[n]] - start
-            if local.size:
-                target = distance_transform(local, w).astype(np.float64)
-                if dt_clip is not None:
-                    np.minimum(target, float(dt_clip), out=target)
-        windows.append(Window(record.subject_id, start, seg, target, local))
+        windows.append(Window(record.subject_id, start, seg, local, dt_clip))
     return windows
 
 
@@ -127,7 +150,7 @@ def _whole_samples(seconds: float, fs: float, what: str) -> int:
 
 
 def labeled_only(windows: Sequence[Window]) -> list[Window]:
-    """Drop windows without a distance-transform target."""
+    """Drop windows without a distance-transform target (none is built)."""
     return [w for w in windows if w.labeled]
 
 

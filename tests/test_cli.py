@@ -10,7 +10,8 @@ import pytest
 import seismonet
 from conftest import first_dim_offset, first_name_last_byte
 from seismonet.cli import main
-from seismonet.records import load_record
+from seismonet.records import load_record, write_record
+from seismonet.synth import SynthParams, synth_record
 
 
 @pytest.fixture
@@ -238,6 +239,21 @@ def test_hrv_command_from_annotations(workspace):
     assert lines[0].startswith("subject,source")
     assert len(lines) == 3
     assert all(",ecg," in line for line in lines[1:])
+
+
+def test_hrv_skips_record_too_short_to_annotate(workspace, capsys):
+    tmp, config = workspace
+    data = tmp / "data"
+    data.mkdir()
+    for name, seconds in (("long", 12.0), ("short", 1.5)):
+        record = synth_record(SynthParams(fs=50.0, duration_s=seconds, seed=4), name)
+        record.rpeaks = None
+        write_record(record, data / f"{name}.csv")
+    assert run(config, "hrv") == 0
+    assert "skipping 'short': need at least 2 s of signal" in capsys.readouterr().out
+    lines = (tmp / "out" / "hrv.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("long,ecg,")
 
 
 def test_unknown_config_key_exits_one(workspace):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seismonet import records
+from seismonet.cli import main
 from seismonet.errors import RecordFormatError, ValidationError
 from seismonet.records import (
     Record,
@@ -86,21 +87,27 @@ def _assert_fast_path_matches_strict_loop(path):
     assert _load_outcome(path) == _load_outcome(path, strict_only=True)
     # Whatever the header, rows the fast path accepts are the strict loop's.
     try:
+        capacity = records._count_line_ends(path)
         with open(path, encoding="utf-8") as fh:
             n_columns = len(fh.readline().split(","))
-            fast = records._parse_rows_fast(fh, n_columns)
+            fast = records._parse_rows_fast(fh, n_columns, capacity)
             if fast is None:
                 return
             fh.seek(0)
             fh.readline()
-            strict = records._parse_rows_strict(fh, path, n_columns)
+            strict = records._parse_rows_strict(fh, path, n_columns, capacity)
     except UnicodeDecodeError:
         return
-    assert fast.shape == strict.shape
-    assert fast.tobytes() == strict.tobytes()
+    assert _columns(fast) == _columns(strict)
 
 
-@pytest.mark.parametrize("body, fast_decides", [
+def _columns(data):
+    """A parse's sample columns (dtype and bytes) and its checks."""
+    return ([(col.dtype, col.tobytes()) for col in data.samples],
+            data.bad_row, data.increasing)
+
+
+_FAST_PARSE_CASES = pytest.mark.parametrize("body, fast_decides", [
     ("0,1.0\n\n1,2.0\n\n", True),
     ("0,1.0\n   \n1,2.0\n", True),
     ("", False),
@@ -116,13 +123,25 @@ def _assert_fast_path_matches_strict_loop(path):
 ], ids=["blank_lines", "whitespace_line", "header_only", "header_and_blank_lines",
         "hash_in_field", "underscore_digits", "surrounding_spaces", "ragged_long",
         "ragged_short", "nan", "overflow", "non_monotone_time"])
+
+
+@_FAST_PARSE_CASES
 def test_fast_parse_matches_strict_loop(tmp_path, body, fast_decides):
     path = tmp_path / "r.csv"
     path.write_text("t,scg\n" + body)
     _assert_fast_path_matches_strict_loop(path)
     with open(path, encoding="utf-8") as fh:
         fh.readline()
-        assert (records._parse_rows_fast(fh, 2) is not None) == fast_decides
+        fast = records._parse_rows_fast(fh, 2, records._count_line_ends(path))
+        assert (fast is not None) == fast_decides
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+@_FAST_PARSE_CASES
+def test_fast_parse_matches_strict_loop_in_small_chunks(tmp_path, body, fast_decides,
+                                                       chunk_rows):
+    with mock.patch.object(records, "CHUNK_ROWS", chunk_rows):
+        test_fast_parse_matches_strict_loop(tmp_path, body, fast_decides)
 
 
 def test_strict_fallback_keeps_underscore_digits(tmp_path):
@@ -150,16 +169,71 @@ _BODY = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(header=st.sampled_from([b"t,scg\n", b"t,scg,ecg\n", b" t , scg \n", b"t,ecg\n", b""]),
-       body=_BODY)
-@example(header=b"t,scg\n", body=b"0,1\n1,\xff\n")
-@example(header=b"t,scg,ecg\n", body=b"0,1,2\n\n1,3,4\r\n2,5,inf\n")
+def _any_record_bytes(test):
+    """Hypothesis inputs for a test taking record ``header`` and ``body`` bytes."""
+    test = example(header=b"t,scg,ecg\n", body=b"0,1,2\n\n1,3,4\r\n2,5,inf\n")(test)
+    test = example(header=b"t,scg\n", body=b"0,1\n1,\xff\n")(test)
+    test = given(header=st.sampled_from([b"t,scg\n", b"t,scg,ecg\n", b" t , scg \n",
+                                         b"t,ecg\n", b""]),
+                 body=_BODY)(test)
+    return settings(max_examples=300, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])(test)
+
+
+@_any_record_bytes
 def test_any_record_bytes_parse_alike_on_both_paths(tmp_path, header, body):
     path = tmp_path / "fuzz.csv"
     path.write_bytes(header + body)
     _assert_fast_path_matches_strict_loop(path)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+@_any_record_bytes
+def test_any_record_bytes_parse_alike_in_small_chunks(tmp_path, chunk_rows, header, body):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(header + body)
+    with mock.patch.object(records, "CHUNK_ROWS", chunk_rows):
+        _assert_fast_path_matches_strict_loop(path)
+        chunked = _load_outcome(path)
+    # Chunking changes nothing: the strict loop in one table reads alike.
+    assert chunked == _load_outcome(path, strict_only=True)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+@pytest.mark.parametrize("body, error", [
+    ("0,1\n1,2\n1,3\n4,5\n", "r.csv: time column is not strictly increasing"),
+    ("0,1\n2,2\n1,3\n", "r.csv: time column is not strictly increasing"),
+    ("0,1\n0,2\n2,3\n3,nan\n", "r.csv:5: non-finite value"),
+    ("0,nan\n1,2\n2,3\n3,x\n", "r.csv:5: could not convert string to float: 'x'"),
+    ("0,nan\n1,2\n2,3\n3,4,5\n", "r.csv:5: expected 2 fields, got 3"),
+    ("0,1\n1,2\n\n  \n2,3\n3,4\n", None),
+    ("0,1\n1,2\n\n2,inf\n", "r.csv:5: non-finite value"),
+    ("0,1\n1,2\n2,3\n3,4\n", None),
+    ("0,1\n1,2\n2,3\n3,4\n\n\n", None),
+], ids=["repeat_at_boundary", "decrease_at_boundary", "nan_after_time_violation",
+        "malformed_after_nan", "ragged_after_nan", "blank_lines_at_boundary",
+        "inf_after_blank_at_boundary", "multiple_of_chunk", "multiple_of_chunk_then_blanks"])
+def test_chunk_boundaries_read_as_one_table(tmp_path, chunk_rows, body, error):
+    path = tmp_path / "r.csv"
+    path.write_text("t,scg\n" + body)
+    whole = _load_outcome(path, strict_only=True)
+    with mock.patch.object(records, "CHUNK_ROWS", chunk_rows):
+        chunked = _load_outcome(path)
+    assert chunked == whole
+    if error is None:
+        times = [line.split(",")[0] for line in body.split("\n") if line.strip()]
+        assert len(load_record(path, fs=1)) == len(times)
+    else:
+        assert chunked == (RecordFormatError, f"{path.parent}/{error}")
+
+
+def test_line_end_count_bounds_the_rows(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"t,scg\r\n0,1\r1,2\n\r\n2,3")
+    assert records._count_line_ends(path) == 4
+    record = load_record(path, fs=1)
+    np.testing.assert_array_equal(record.scg, [1.0, 2.0, 3.0])
+    assert record.scg.flags.owndata
 
 
 def test_non_monotone_time_rejected(tmp_path):
@@ -201,6 +275,56 @@ def test_load_annotations_reads_ascending_ints(tmp_path):
     path = tmp_path / "a.rpeaks"
     path.write_text("3\n17\n240\n")
     np.testing.assert_array_equal(load_annotations(path), [3, 17, 240])
+
+
+_INDEX_LINE = st.one_of(
+    st.integers(-10**3, 10**6).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["", " ", "1_0", "+5", " 7 ", "\u0663", "1.0", "1e3", "0x10", "-0",
+                     "9" * 5000, "\x00", "\r"]),
+)
+_ANNOTATION_BYTES = st.one_of(
+    st.binary(max_size=60),
+    st.lists(_INDEX_LINE, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+    # Ascending indices, the well-formed case.
+    st.sets(st.integers(0, 10**4), max_size=8).map(
+        lambda idx: "".join(f"{i}\n" for i in sorted(idx)).encode()),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=_ANNOTATION_BYTES)
+@example(body=b"99999999999999999999\n")
+def test_any_annotation_bytes_load_or_raise_a_format_error(tmp_path, body):
+    path = tmp_path / "a.rpeaks"
+    path.write_bytes(body)
+    try:
+        indices = load_annotations(path)
+    except (RecordFormatError, ValidationError):
+        return
+    assert indices.dtype == np.int64 and indices.ndim == 1
+    assert np.all(np.diff(indices) > 0)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=_ANNOTATION_BYTES)
+@example(body=b"99999999999999999999\n")
+@example(body=b"0\n40\n80\n")
+def test_any_annotation_bytes_exit_zero_or_one(tmp_path, body):
+    data = tmp_path / "data"
+    data.mkdir(exist_ok=True)
+    (data / "r.csv").write_text("t,scg\n" + "".join(f"{i},0.5\n" for i in range(100)))
+    (data / "r.csv.rpeaks").write_bytes(body)
+    try:
+        load_annotations(data / "r.csv.rpeaks")
+        parses = True
+    except (RecordFormatError, ValidationError):
+        parses = False
+    code = main(["--set", f"paths.data_dir={data}", "--set", f"paths.out_dir={tmp_path}",
+                 "--set", "sampling.source_fs=50", "hrv"])
+    assert code in ((0, 1) if parses else (1,))
 
 
 def test_resample_identity():

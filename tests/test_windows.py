@@ -1,10 +1,14 @@
 """Distance transform, windowing, and dataset splitting."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seismonet.detect import ValleyParams
 from seismonet.errors import InsufficientDataError, ValidationError
+from seismonet.evaluation import evaluate_subject
 from seismonet.records import Record
 from seismonet.windows import (
     Window,
@@ -147,6 +151,61 @@ def test_dt_clip_caps_target():
     record = _record(30.0)
     windows = labeled_only(segment_windows(record, 2.0, 1.0, dt_clip=7))
     assert all(np.max(w.target_dt) <= 7 for w in windows)
+
+
+def test_segment_windows_hold_no_targets():
+    record = _record(120.0, fs=250.0)
+    tracemalloc.start()
+    windows = segment_windows(record, 10.0, 5.0, dt_clip=40)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    w = windows[0].length
+    assert all(win.labeled for win in windows)
+    # A target per window would hold len(windows) * w * 8 bytes.
+    assert held < len(windows) * w * 8 / 4
+    for win in windows:
+        for value in vars(win).values():
+            if isinstance(value, np.ndarray):
+                assert np.shares_memory(value, record.scg) or value.size < w
+
+
+@pytest.mark.parametrize("dt_clip", [None, 7, 2.5])
+def test_target_read_is_the_clipped_distance_transform(dt_clip):
+    record = Record("sub", 100.0, np.zeros(1000), rpeaks=np.array([50, 130, 700, 720]))
+    windows = segment_windows(record, 2.0, 1.0, dt_clip=dt_clip)
+    labels = [win.labeled for win in windows]
+    assert labels == [win.rpeaks_local.size > 0 for win in windows]
+    assert not all(labels) and any(labels)
+    for win in windows:
+        if not win.labeled:
+            assert win.target_dt is None
+            continue
+        expected = distance_transform(win.rpeaks_local, win.length).astype(np.float64)
+        if dt_clip is not None:
+            expected = np.minimum(expected, float(dt_clip))
+        assert win.target_dt.dtype == np.float64
+        assert win.target_dt.tobytes() == expected.tobytes()
+        assert win.target_dt is win.target_dt  # built once, then kept
+
+
+def test_assigned_target_replaces_the_built_one():
+    windows = segment_windows(_record(10.0), 2.0, 1.0)
+    first, second = windows[:2]
+    first.target_dt = None
+    assert not first.labeled and first.target_dt is None
+    kept = labeled_only(windows[:2])
+    assert len(kept) == 1 and kept[0] is second
+    zeros = np.zeros(second.length)
+    second.target_dt = zeros
+    assert second.labeled and second.target_dt is zeros
+
+
+def test_oracle_scores_from_targets_built_on_read():
+    record = _record(60.0, fs=250.0)
+    windows = segment_windows(record, 10.0, 5.0)
+    score = evaluate_subject(lambda w: w.target_dt, windows, 250.0, ValleyParams(), 90.0)
+    assert score.actual_total == record.rpeaks.size
+    assert score.tp == score.actual_total and score.fp == 0
 
 
 def test_fractional_window_rejected():
