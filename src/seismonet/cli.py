@@ -35,6 +35,7 @@ from .records import (
     annotate_ecg_rpeaks,
     load_record,
     resample_record,
+    write_annotations,
     write_record,
 )
 from .synth import synth_record
@@ -147,9 +148,7 @@ def cmd_infer(cfg: RunConfig, record_path: str) -> int:
                 fh.write(f"{window.start},{offset},{float(value)!r}\n")
     merged = inference.merged()
     peaks_path = out_dir / f"{record.subject_id}.peaks"
-    with open(peaks_path, "w", encoding="utf-8") as fh:
-        for idx in merged:
-            fh.write(f"{int(idx)}\n")
+    write_annotations(merged, peaks_path)
     print(f"wrote {pred_path} and {peaks_path} ({merged.size} peaks)")
     return 0
 

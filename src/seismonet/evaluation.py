@@ -248,33 +248,37 @@ def read_hrv_csv(path: str | Path) -> list[HrvRow]:
 
     A wrong header, a row with the wrong field count, a non-numeric or
     non-finite value, or a repeated (subject, source) pair raises
-    ``RecordFormatError`` naming the line. Blank lines are skipped.
+    ``RecordFormatError`` naming the line, and bytes that are not UTF-8
+    raise it naming the file. Blank lines are skipped.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"HRV table not found: {path}")
     n_fields = 2 + len(HRV_INDEX_NAMES)
     rows: dict[tuple[str, str], HrvIndices] = {}
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().strip() != HRV_HEADER:
-            raise RecordFormatError(f"{path}:1: expected the header {HRV_HEADER!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            if len(parts) != n_fields:
-                raise RecordFormatError(
-                    f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
-            key = (parts[0], parts[1])
-            if key in rows:
-                raise RecordFormatError(f"{path}:{lineno}: duplicate row for {key}")
-            try:
-                values = [float(v) for v in parts[2:]]
-            except ValueError as exc:
-                raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise RecordFormatError(f"{path}:{lineno}: non-finite value")
-            rows[key] = HrvIndices(*values)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if fh.readline().strip() != HRV_HEADER:
+                raise RecordFormatError(f"{path}:1: expected the header {HRV_HEADER!r}")
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.strip().split(",")
+                if parts == [""]:
+                    continue
+                if len(parts) != n_fields:
+                    raise RecordFormatError(
+                        f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+                key = (parts[0], parts[1])
+                if key in rows:
+                    raise RecordFormatError(f"{path}:{lineno}: duplicate row for {key}")
+                try:
+                    values = [float(v) for v in parts[2:]]
+                except ValueError as exc:
+                    raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise RecordFormatError(f"{path}:{lineno}: non-finite value")
+                rows[key] = HrvIndices(*values)
+    except UnicodeDecodeError:
+        raise RecordFormatError(f"{path}: not valid UTF-8") from None
     return [(subject, source, idx) for (subject, source), idx in rows.items()]
 
 

@@ -142,11 +142,9 @@ class _Conv:
                  kernel: int, dtype, stride: int = 1, padding: int = 0,
                  transposed: bool = False):
         self.spec = ConvSpec(in_ch, out_ch, kernel, stride, padding, transposed)
-        fan_in = in_ch * kernel
-        fan_out = out_ch * kernel
-        shape = (in_ch, out_ch, kernel) if transposed else (out_ch, in_ch, kernel)
-        self.weight = store.declare(f"{name}.weight", shape, dtype,
-                                    partial(xavier_uniform_init, shape, fan_in, fan_out))
+        shape = self.spec.weight_shape
+        init = partial(xavier_uniform_init, shape, in_ch * kernel, out_ch * kernel)
+        self.weight = store.declare(f"{name}.weight", shape, dtype, init)
         self.bias = store.declare(f"{name}.bias", (out_ch,), dtype, _constant(0.0))
 
     def __call__(self, x: SignalTensor, tape: Tape | None) -> SignalTensor:
@@ -155,14 +153,12 @@ class _Conv:
         return conv1d(x, self.weight, self.bias, self.spec, tape)
 
 
-class _Norm:
-    def __init__(self, store: ParamStore, name: str, channels: int, cfg: ModelConfig, dtype):
-        gamma = store.declare(f"{name}.gamma", (channels,), dtype, _constant(1.0))
-        beta = store.declare(f"{name}.beta", (channels,), dtype, _constant(0.0))
-        self.state = BatchNormState(gamma, beta, cfg.bn_momentum, cfg.bn_eps)
-
-    def __call__(self, x: SignalTensor, tape: Tape | None, training: bool) -> SignalTensor:
-        return batchnorm1d(x, self.state, training, tape)
+def _norm(store: ParamStore, name: str, channels: int, cfg: ModelConfig,
+          dtype) -> BatchNormState:
+    """Declare one batch norm's gamma and beta; return its state."""
+    gamma = store.declare(f"{name}.gamma", (channels,), dtype, _constant(1.0))
+    beta = store.declare(f"{name}.beta", (channels,), dtype, _constant(0.0))
+    return BatchNormState(gamma, beta, cfg.bn_momentum, cfg.bn_eps)
 
 
 class InceptionResidualBlock:
@@ -216,7 +212,7 @@ class ContractingBlock:
         self.slope = cfg.leaky_slope
         self.widen = _Conv(store, f"{name}.widen", in_ch, out_ch, cfg.conv_kernel,
                            dtype, padding=_same_pad(cfg.conv_kernel))
-        self.norm = _Norm(store, f"{name}.norm", out_ch, cfg, dtype)
+        self.norm = _norm(store, f"{name}.norm", out_ch, cfg, dtype)
         self.down = _Conv(store, f"{name}.down", out_ch, out_ch, cfg.down_kernel,
                           dtype, stride=cfg.down_stride,
                           padding=_same_pad(cfg.down_kernel))
@@ -225,7 +221,7 @@ class ContractingBlock:
 
     def forward(self, x: SignalTensor, tape: Tape | None, training: bool) -> SignalTensor:
         h = self.widen(x, tape)
-        h = self.norm(h, tape, training)
+        h = batchnorm1d(h, self.norm, training, tape)
         h = leaky_relu(h, self.slope, tape)
         h = self.down(h, tape)
         return self.refine.forward(h, tape, training)
@@ -253,7 +249,7 @@ class ExpandingBlock:
         out_ch = merged // 4
         self.narrow = _Conv(store, f"{name}.narrow", merged, mid, cfg.conv_kernel,
                             dtype, padding=_same_pad(cfg.conv_kernel))
-        self.norm = _Norm(store, f"{name}.norm", mid, cfg, dtype)
+        self.norm = _norm(store, f"{name}.norm", mid, cfg, dtype)
         self.up = _Conv(store, f"{name}.up", mid, out_ch, cfg.up_kernel, dtype,
                         stride=cfg.down_stride, padding=_same_pad(cfg.up_kernel),
                         transposed=True)
@@ -272,7 +268,7 @@ class ExpandingBlock:
                     f"skip length {skip.length} != decoder feature length {x.length}")
             h = concat_channels(x, self.proj(skip, tape), tape)
         h = self.narrow(h, tape)
-        h = self.norm(h, tape, training)
+        h = batchnorm1d(h, self.norm, training, tape)
         h = leaky_relu(h, self.slope, tape)
         h = self.up(h, tape)
         h = crop_or_pad(h, target_len, tape)
@@ -336,12 +332,6 @@ class SeismoNet:
 
         self.denoise = DenoisingBlock(self.params, dec_ch, config, dtype)
 
-        self._norms: dict[str, BatchNormState] = {}
-        for n, block in enumerate(self.contracting):
-            self._norms[f"ccb{n + 1}.norm"] = block.norm.state
-        for n, block in enumerate(self.expanding):
-            self._norms[f"ecb{n + 1}.norm"] = block.norm.state
-
     @property
     def block_count(self) -> int:
         return self.config.block_count
@@ -353,9 +343,10 @@ class SeismoNet:
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
         """Batch-norm running statistics, in deterministic order."""
         out = []
-        for name, state in self._norms.items():
-            out.append((f"{name}.running_mean", state.running_mean))
-            out.append((f"{name}.running_var", state.running_var))
+        for prefix, blocks in (("ccb", self.contracting), ("ecb", self.expanding)):
+            for n, block in enumerate(blocks, start=1):
+                out.append((f"{prefix}{n}.norm.running_mean", block.norm.running_mean))
+                out.append((f"{prefix}{n}.norm.running_var", block.norm.running_var))
         return out
 
     def forward(self, x: SignalTensor, tape: Tape | None = None,

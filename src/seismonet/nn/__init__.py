@@ -4,7 +4,6 @@ from .init import xavier_uniform_init
 from .ops import (
     BatchNormState,
     ConvSpec,
-    LossValue,
     add,
     batchnorm1d,
     concat_channels,
@@ -23,7 +22,6 @@ __all__ = [
     "ConvSpec",
     "DEFAULT_DTYPE",
     "GradSlot",
-    "LossValue",
     "Parameter",
     "ParamStore",
     "SignalTensor",

@@ -78,6 +78,13 @@ class ConvSpec:
         if self.padding < 0:
             raise ValidationError(f"padding must be >= 0: {self}")
 
+    @property
+    def weight_shape(self) -> tuple[int, int, int]:
+        """(out, in, kernel), or (in, out, kernel) for a transposed conv."""
+        if self.transposed:
+            return (self.in_channels, self.out_channels, self.kernel)
+        return (self.out_channels, self.in_channels, self.kernel)
+
     def out_length(self, in_length: int) -> int:
         if self.transposed:
             return (in_length - 1) * self.stride + self.kernel - 2 * self.padding
@@ -199,31 +206,7 @@ def conv1d(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
     """Cross-correlation with zero padding; weight shape (out, in, kernel)."""
     if spec.transposed:
         raise ValidationError("conv1d requires a non-transposed spec")
-    if x.channels != spec.in_channels:
-        raise ValidationError(
-            f"channel mismatch: input has {x.channels}, spec expects {spec.in_channels}")
-    if weight.shape != (spec.out_channels, spec.in_channels, spec.kernel):
-        raise ValidationError(f"weight shape {weight.shape} does not match {spec}")
-    in_len = x.length
-    if spec.out_length(in_len) < 1:
-        raise ValidationError(
-            f"output length < 1 for input length {in_len} with {spec}")
-
-    y_values = _corr_forward(x.values, weight.values, spec.stride, spec.padding)
-    y_values += bias.values[None, :, None]
-    y = SignalTensor(y_values)
-
-    if tape is not None:
-        xs, ys, x_values = x.slot, y.slot, x.values
-
-        def backward():
-            dy = ys.grad
-            if xs.requires_grad:
-                xs.grad += _corr_input_grad(dy, weight.values, spec.stride, spec.padding, in_len)
-            weight.grad += _corr_weight_grad(dy, x_values, spec.stride, spec.padding, spec.kernel)
-            bias.grad += dy.sum(axis=(0, 2))
-        tape.record(backward)
-    return y
+    return _conv(x, weight, bias, spec, tape)
 
 
 def conv_transpose1d(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
@@ -231,10 +214,22 @@ def conv_transpose1d(x: SignalTensor, weight: Parameter, bias: Parameter, spec: 
     """Strided transposed convolution; weight shape (in, out, kernel)."""
     if not spec.transposed:
         raise ValidationError("conv_transpose1d requires a transposed spec")
+    return _conv(x, weight, bias, spec, tape)
+
+
+def _conv(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
+          tape: Tape | None) -> SignalTensor:
+    """The body of both convolutions.
+
+    A transposed convolution runs the correlation kernels' adjoints: its
+    forward is the correlation's input gradient, its input gradient is the
+    correlation forward, and its weight gradient is the correlation's with
+    the roles of input and output gradient swapped.
+    """
     if x.channels != spec.in_channels:
         raise ValidationError(
             f"channel mismatch: input has {x.channels}, spec expects {spec.in_channels}")
-    if weight.shape != (spec.in_channels, spec.out_channels, spec.kernel):
+    if weight.shape != spec.weight_shape:
         raise ValidationError(f"weight shape {weight.shape} does not match {spec}")
     in_len = x.length
     out_len = spec.out_length(in_len)
@@ -242,7 +237,11 @@ def conv_transpose1d(x: SignalTensor, weight: Parameter, bias: Parameter, spec: 
         raise ValidationError(
             f"output length < 1 for input length {in_len} with {spec}")
 
-    y_values = _corr_input_grad(x.values, weight.values, spec.stride, spec.padding, out_len)
+    transposed, stride, padding = spec.transposed, spec.stride, spec.padding
+    if transposed:
+        y_values = _corr_input_grad(x.values, weight.values, stride, padding, out_len)
+    else:
+        y_values = _corr_forward(x.values, weight.values, stride, padding)
     y_values += bias.values[None, :, None]
     y = SignalTensor(y_values)
 
@@ -252,8 +251,11 @@ def conv_transpose1d(x: SignalTensor, weight: Parameter, bias: Parameter, spec: 
         def backward():
             dy = ys.grad
             if xs.requires_grad:
-                xs.grad += _corr_forward(dy, weight.values, spec.stride, spec.padding)
-            weight.grad += _corr_weight_grad(x_values, dy, spec.stride, spec.padding, spec.kernel)
+                xs.grad += (_corr_forward(dy, weight.values, stride, padding) if transposed
+                            else _corr_input_grad(dy, weight.values, stride, padding, in_len))
+            # the correlation's output gradient and input: (dy, x), swapped when transposed
+            pair = (x_values, dy) if transposed else (dy, x_values)
+            weight.grad += _corr_weight_grad(*pair, stride, padding, spec.kernel)
             bias.grad += dy.sum(axis=(0, 2))
         tape.record(backward)
     return y
@@ -448,23 +450,8 @@ def resize_linear(x: SignalTensor, target_len: int, tape: Tape | None = None) ->
     return y
 
 
-class LossValue:
-    """Scalar loss; its gradient flows once the owning tape runs backward."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"LossValue({self.value})"
-
-
 def smooth_l1_loss(pred: SignalTensor, target, reduction: str = "mean",
-                   tape: Tape | None = None) -> LossValue:
+                   tape: Tape | None = None) -> float:
     """Huber-style loss: quadratic below unit error, linear above.
 
     Per element of d = pred - target: 0.5*d^2 where |d| < 1, |d| - 0.5
@@ -495,4 +482,4 @@ def smooth_l1_loss(pred: SignalTensor, target, reduction: str = "mean",
                 g = g / n
             ps.grad += g.astype(ps.dtype, copy=False)
         tape.record(backward)
-    return LossValue(value)
+    return value

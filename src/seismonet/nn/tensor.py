@@ -9,15 +9,15 @@ gradients of its inputs, so tensors consumed by several ops (skip
 connections, residual adds) receive summed gradients for free.
 
 A tensor's gradient lives in a ``GradSlot``: the buffer, allocated (zeroed)
-on first read, plus the shape, dtype and ``requires_grad`` it needs. A
-tensor makes its slot on first use, so a forward pass without a tape makes
-no slot and allocates no gradient; a ``Parameter``'s gradient follows the
-same rule. A taped op's closure captures the slots of its input and output
-and only the arrays its backward reads (a conv's input values, batch norm's
-``xhat``, leaky ReLU's mask), never the tensors themselves. So an
-activation that no backward reads is freed as soon as the forward drops the
-tensor, and ``Tape.backward()`` drops each closure right after running it:
-the op's saved arrays and its output gradient are freed once no closure
+on first read, plus the shape, dtype and ``requires_grad`` it needs.
+Activations and parameters share one base that holds the values and makes
+the slot on first use, so a forward pass without a tape makes no slot and
+allocates no gradient. A taped op's closure captures the slots of its input
+and output and only the arrays its backward reads (a conv's input values,
+batch norm's ``xhat``, leaky ReLU's mask), never the tensors themselves. So
+an activation that no backward reads is freed as soon as the forward drops
+the tensor, and ``Tape.backward()`` drops each closure right after running
+it: the op's saved arrays and its output gradient are freed once no closure
 still to run can read them.
 """
 from __future__ import annotations
@@ -58,23 +58,17 @@ class GradSlot:
         self.buffer = value
 
 
-class SignalTensor:
-    """A (batch, channels, length) buffer whose gradient lives in a ``GradSlot``.
+class _Tracked:
+    """An array of values whose gradient lives in a ``GradSlot``.
 
-    ``channels`` may be zero (an empty concatenation operand); batch and
-    length must be at least 1. The slot is made on first use and its buffer
-    on first read; ``x.grad += g`` and ``x.grad[...] = g`` both work on a
-    tensor whose gradient was never read.
+    The slot is made on first use and its buffer on first read;
+    ``t.grad += g`` and ``t.grad[...] = g`` both work on a gradient that was
+    never read.
     """
 
     __slots__ = ("values", "_slot")
 
     def __init__(self, values: np.ndarray, requires_grad: bool = True):
-        values = np.asarray(values)
-        if values.ndim != 3:
-            raise ValidationError(f"SignalTensor requires rank 3, got shape {values.shape}")
-        if values.shape[0] < 1 or values.shape[2] < 1:
-            raise ValidationError(f"batch and length must be >= 1, got shape {values.shape}")
         self.values = values
         self._slot = None if requires_grad else GradSlot(values.shape, values.dtype, False)
 
@@ -98,20 +92,33 @@ class SignalTensor:
         return None if self._slot is None else self._slot.buffer
 
     @property
-    def requires_grad(self) -> bool:
-        return self._slot is None or self._slot.requires_grad
-
-    @requires_grad.setter
-    def requires_grad(self, value: bool) -> None:
-        self.slot.requires_grad = value
-
-    @classmethod
-    def zeros(cls, batch: int, channels: int, length: int, dtype=DEFAULT_DTYPE) -> "SignalTensor":
-        return cls(np.zeros((batch, channels, length), dtype=dtype))
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.values.shape
+    def dtype(self):
+        return self.values.dtype
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(shape={self.values.shape}, dtype={self.values.dtype})"
+
+
+class SignalTensor(_Tracked):
+    """A (batch, channels, length) activation.
+
+    ``channels`` may be zero (an empty concatenation operand); batch and
+    length must be at least 1.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, values: np.ndarray, requires_grad: bool = True):
+        values = np.asarray(values)
+        if values.ndim != 3:
+            raise ValidationError(f"SignalTensor requires rank 3, got shape {values.shape}")
+        if values.shape[0] < 1 or values.shape[2] < 1:
+            raise ValidationError(f"batch and length must be >= 1, got shape {values.shape}")
+        super().__init__(values, requires_grad)
 
     @property
     def batch(self) -> int:
@@ -125,56 +132,24 @@ class SignalTensor:
     def length(self) -> int:
         return self.values.shape[2]
 
-    @property
-    def dtype(self):
-        return self.values.dtype
-
     def zero_grad(self) -> None:
+        """Drop the gradient buffer; the next read allocates a zeroed one."""
         if self._slot is not None:
             self._slot.buffer = None
 
-    def __repr__(self) -> str:
-        return f"SignalTensor(shape={self.values.shape}, dtype={self.values.dtype})"
 
+class Parameter(_Tracked):
+    """A trainable array of any rank with an accumulated gradient."""
 
-class Parameter:
-    """A trainable array with an accumulated gradient.
-
-    The gradient follows the ``GradSlot`` rule: its buffer is allocated,
-    zeroed, on first read, so a model that only runs inference holds none.
-    """
-
-    __slots__ = ("values", "_grad")
+    __slots__ = ()
 
     def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values)
-        self._grad = None
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.values)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray) -> None:
-        # ``p.grad += g`` reads the buffer, adds in place, then assigns it back.
-        self._grad = value
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    @property
-    def dtype(self):
-        return self.values.dtype
+        super().__init__(np.asarray(values))
 
     def zero_grad(self) -> None:
+        """Zero the gradient buffer in place, if one was allocated."""
         if self._grad is not None:
             self._grad[...] = 0
-
-    def __repr__(self) -> str:
-        return f"Parameter(shape={self.values.shape}, dtype={self.values.dtype})"
 
 
 # Fills a declared parameter: an array (or a scalar) from the generator.
@@ -252,6 +227,3 @@ class Tape:
         fns = self._backward_fns
         while fns:
             fns.pop()()
-
-    def __len__(self) -> int:
-        return len(self._backward_fns)

@@ -277,9 +277,14 @@ def write_record(record: Record, path: str | Path) -> None:
             for i in range(len(record)):
                 fh.write(f"{i / record.fs!r},{float(record.scg[i])!r}\n")
     if record.rpeaks is not None:
-        with open(annotation_path(path), "w", encoding="utf-8") as fh:
-            for idx in record.rpeaks:
-                fh.write(f"{int(idx)}\n")
+        write_annotations(record.rpeaks, annotation_path(path))
+
+
+def write_annotations(indices, path: str | Path) -> None:
+    """Write sample indices one integer per line, as ``load_annotations`` reads them."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for idx in indices:
+            fh.write(f"{int(idx)}\n")
 
 
 def resample(signal: np.ndarray, fs_in: float, fs_out: float) -> np.ndarray:

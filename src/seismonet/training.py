@@ -96,7 +96,7 @@ def evaluate_loss(model: SeismoNet, windows: Sequence[Window],
         inputs, targets = _stack_batch(chunk, model.dtype)
         pred = model.forward(SignalTensor(inputs), tape=None, training=False)
         loss = smooth_l1_loss(pred, targets, reduction="mean", tape=None)
-        total += loss.value * len(chunk)
+        total += loss * len(chunk)
         count += len(chunk)
     return total / count
 
@@ -138,13 +138,13 @@ def train(model: SeismoNet, split: DatasetSplit, cfg: TrainConfig,
             pred = model.forward(SignalTensor(inputs, requires_grad=False), tape=tape,
                                  training=True)
             loss = smooth_l1_loss(pred, targets, reduction="mean", tape=tape)
-            if not np.isfinite(loss.value):
+            if not np.isfinite(loss):
                 raise NumericError(
-                    f"non-finite loss {loss.value} at epoch {epoch}, "
+                    f"non-finite loss {loss} at epoch {epoch}, "
                     f"batch starting at index {lo}")
             tape.backward()
             sgd_step(model.params, lr)
-            total += loss.value * len(batch)
+            total += loss * len(batch)
             seen += len(batch)
 
         val_loss = evaluate_loss(model, split.val, cfg.batch_size) if split.val else float("nan")

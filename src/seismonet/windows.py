@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -11,22 +11,17 @@ from .errors import InsufficientDataError, ValidationError
 from .records import Record
 
 
-# Window._target until the target is first read or assigned.
-_UNBUILT = object()
-
-
 @dataclass
 class Window:
-    """One fixed-length SCG segment with optional regression target.
+    """One fixed-length SCG segment with its local annotations.
 
     ``rpeaks_local`` are annotation indices relative to ``start``. A window
-    is labeled when at least one of them falls inside it; its ``target_dt``,
-    the per-sample distance (in samples) to the nearest local annotation,
-    clipped at ``dt_clip`` when set, is then built on its first read and
-    kept, so a window that is never trained on holds none. Assigning
-    ``target_dt`` replaces it: an array is returned as is, and None makes
-    the window unlabeled. ``segment_windows`` makes ``scg_seg`` a read-only
-    view of the record's samples, so overlapping windows share memory.
+    is labeled when at least one of them falls inside it; its ``target_dt``
+    is then the per-sample distance (in samples) to the nearest local
+    annotation, clipped at ``dt_clip`` when set, computed on each read, so
+    no window holds a target. ``segment_windows`` makes ``scg_seg`` a
+    read-only view of the record's samples, so overlapping windows share
+    memory.
     """
 
     subject_id: str
@@ -34,7 +29,6 @@ class Window:
     scg_seg: np.ndarray
     rpeaks_local: np.ndarray | None = None
     dt_clip: float | None = None
-    _target: object = field(default=_UNBUILT, init=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -42,25 +36,16 @@ class Window:
 
     @property
     def labeled(self) -> bool:
-        if self._target is _UNBUILT:
-            return self.rpeaks_local is not None and self.rpeaks_local.size > 0
-        return self._target is not None
+        return self.rpeaks_local is not None and self.rpeaks_local.size > 0
 
     @property
     def target_dt(self) -> np.ndarray | None:
-        if self._target is not _UNBUILT:
-            return self._target
         if not self.labeled:
             return None
         target = distance_transform(self.rpeaks_local, self.length).astype(np.float64)
         if self.dt_clip is not None:
             np.minimum(target, float(self.dt_clip), out=target)
-        self._target = target
         return target
-
-    @target_dt.setter
-    def target_dt(self, value: np.ndarray | None) -> None:
-        self._target = value
 
 
 @dataclass
@@ -112,8 +97,8 @@ def segment_windows(record: Record, w_sec: float, hop_sec: float,
     record, giving floor((L-w)/hop)+1 windows. When the record carries
     R-peak annotations, each window receives its local annotation indices
     and ``dt_clip``; its distance-transform target (optionally clipped at
-    ``dt_clip`` samples) is built when first read, if at least one
-    annotation falls inside it.
+    ``dt_clip`` samples) is computed when read, if at least one annotation
+    falls inside it.
     """
     w = _whole_samples(w_sec, record.fs, "window length")
     hop = _whole_samples(hop_sec, record.fs, "hop")
@@ -150,7 +135,7 @@ def _whole_samples(seconds: float, fs: float, what: str) -> int:
 
 
 def labeled_only(windows: Sequence[Window]) -> list[Window]:
-    """Drop windows without a distance-transform target (none is built)."""
+    """Drop windows without a distance-transform target (none is computed)."""
     return [w for w in windows if w.labeled]
 
 
@@ -161,7 +146,7 @@ def group_by_subject(windows: Sequence[Window]) -> dict[str, list[Window]]:
     return groups
 
 
-def split_dataset(windows, ratios: tuple[float, float, float],
+def split_dataset(windows: Sequence[Window], ratios: tuple[float, float, float],
                   drop_boundary: bool = True) -> DatasetSplit:
     """Assign each subject's windows contiguously to train/val/test.
 
@@ -177,15 +162,10 @@ def split_dataset(windows, ratios: tuple[float, float, float],
     if abs(r_train + r_val + r_test - 1.0) > 1e-9:
         raise ValidationError(f"ratios must sum to 1, got {ratios}")
 
-    if isinstance(windows, Mapping):
-        groups = {k: list(v) for k, v in windows.items()}
-    else:
-        groups = group_by_subject(windows)
-
     train: list[Window] = []
     val: list[Window] = []
     test: list[Window] = []
-    for subject, group in groups.items():
+    for subject, group in group_by_subject(windows).items():
         n = len(group)
         if n < 3:
             raise InsufficientDataError(

@@ -74,8 +74,9 @@ def rng():
 
 @pytest.fixture
 def grad_reads(monkeypatch):
-    """Shapes of every activation gradient read (the only way one gets
-    allocated), in order."""
+    """Shapes of every gradient read (the only way one gets allocated), in
+    order. Activations and parameters both keep their gradient in a
+    ``GradSlot``, so reads of either show up here."""
     reads = []
     prop = GradSlot.grad
 

@@ -167,7 +167,7 @@ def check_loss(rng):
     pt = SignalTensor(pred)
 
     def loss_fn():
-        return smooth_l1_loss(SignalTensor(pt.values.copy()), target).value
+        return smooth_l1_loss(SignalTensor(pt.values.copy()), target)
 
     tape = Tape()
     smooth_l1_loss(pt, target, tape=tape)
@@ -297,7 +297,7 @@ def test_gradient_suite():
 
     def loss_fn():
         out = model.forward(SignalTensor(x.copy()), tape=None, training=True)
-        return smooth_l1_loss(out, target).value
+        return smooth_l1_loss(out, target)
 
     worst = fd_max_error(loss_fn, [p for _, p in model.params.items()])
     assert worst < MODEL_GRAD_TOL, f"whole model: {worst:.3e} >= {MODEL_GRAD_TOL}"

@@ -335,6 +335,16 @@ def test_non_utf8_record_file_exits_one(tmp_path, capsys, suffix):
     assert "Traceback" not in err
 
 
+def test_non_utf8_hrv_table_exits_one(tmp_path, capsys):
+    table = tmp_path / "hrv.csv"
+    table.write_bytes(HRV_TABLE.encode().replace(b"0.10", b"0.1\xff"))
+    assert main(["--set", f"paths.out_dir={tmp_path / 'out'}", "agree", str(table)]) == 1
+    err = capsys.readouterr().err
+    assert f"{table}: not valid UTF-8" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_tolerance_exits_one(workspace, capsys):
     _, config = workspace
     assert main(["--config", str(config), "--set", "eval.tol_ms=-5", "eval"]) == 1

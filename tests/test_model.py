@@ -210,7 +210,7 @@ def test_loss_decreases_over_twenty_steps(rng):
         tape = Tape()
         pred = model.forward(SignalTensor(x.copy()), tape=tape, training=True)
         loss = smooth_l1_loss(pred, target, tape=tape)
-        losses.append(loss.value)
+        losses.append(loss)
         tape.backward()
         sgd_step(model.params, 0.001)
     assert all(b < a for a, b in zip(losses, losses[1:]))

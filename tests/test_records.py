@@ -17,6 +17,7 @@ from seismonet.records import (
     resample,
     resample_record,
     rescale_indices,
+    write_annotations,
     write_record,
 )
 from seismonet.synth import SynthParams, synth_record
@@ -275,6 +276,15 @@ def test_load_annotations_reads_ascending_ints(tmp_path):
     path = tmp_path / "a.rpeaks"
     path.write_text("3\n17\n240\n")
     np.testing.assert_array_equal(load_annotations(path), [3, 17, 240])
+
+
+def test_write_annotations_one_int_per_line(tmp_path):
+    path = tmp_path / "a.rpeaks"
+    write_annotations(np.array([3, 17, 240], dtype=np.int64), path)
+    assert path.read_bytes() == b"3\n17\n240\n"
+    np.testing.assert_array_equal(load_annotations(path), [3, 17, 240])
+    write_annotations(np.zeros(0, dtype=np.int64), path)
+    assert path.read_bytes() == b""
 
 
 _INDEX_LINE = st.one_of(

@@ -1,7 +1,14 @@
 """Training loop bookkeeping, purity, and determinism."""
+import importlib.util
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import seismonet.model
+import seismonet.training
 from seismonet.errors import NumericError, ValidationError
 from seismonet.model import ModelConfig, build_model
 from seismonet.nn import lr_schedule
@@ -67,7 +74,8 @@ def test_overfit_tiny_set():
 
 def test_unlabeled_window_rejected():
     split = tiny_split()
-    split.train[0].target_dt = None
+    # no annotation inside the window: no target
+    split.train[0] = replace(split.train[0], rpeaks_local=np.zeros(0, dtype=np.int64))
     with pytest.raises(ValidationError, match="target"):
         train(tiny_model(), split, TrainConfig(epochs=1, checkpoint_every=0))
 
@@ -102,8 +110,8 @@ def test_evaluate_loss_allocates_no_gradients(grad_reads):
 def test_evaluate_loss_on_perfect_predictions():
     # all-zero parameters force an all-zero output; zero targets give loss 0
     split = tiny_split()
-    for w in split.val:
-        w.target_dt = np.zeros_like(w.target_dt)
+    # an annotation at every sample: an all-zero target
+    split.val = [replace(w, rpeaks_local=np.arange(w.length)) for w in split.val]
     model = tiny_model()
     for _, p in model.params.items():
         p.values[...] = 0.0
@@ -171,3 +179,42 @@ def test_history_csv_format(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,lr,train_loss,val_loss"
     assert lines[1] == "0,0.001,1.5,2.5"
+
+
+def _benchmark_tracing():
+    """perfbench/tracing.py, loaded by path so the list below is the benchmark's."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_traced_names_run_in_a_taped_step(monkeypatch):
+    # The benchmark times ops by rebinding these module attributes; an op
+    # that the package renames or stops calling through them would drop out
+    # of its trace without an error.
+    calls = Counter()
+
+    def count(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    model_ops = _benchmark_tracing().MODEL_OPS
+    for name in model_ops:
+        count(seismonet.model, name)
+    for name in ("smooth_l1_loss", "sgd_step"):
+        count(seismonet.training, name)
+
+    # the desk net on 200-sample windows, one batch: one taped step
+    split = tiny_split(fs=100.0)
+    split = DatasetSplit(train=split.train[:4], val=[], test=[])
+    model = build_model(ModelConfig(input_len=200, levels=3, base_channels=8), seed=0)
+    train(model, split, TrainConfig(epochs=1, batch_size=4, checkpoint_every=0))
+    missing = [n for n in (*model_ops, "smooth_l1_loss", "sgd_step") if not calls[n]]
+    assert missing == []
+    assert calls["sgd_step"] == 1

@@ -185,19 +185,6 @@ def test_target_read_is_the_clipped_distance_transform(dt_clip):
             expected = np.minimum(expected, float(dt_clip))
         assert win.target_dt.dtype == np.float64
         assert win.target_dt.tobytes() == expected.tobytes()
-        assert win.target_dt is win.target_dt  # built once, then kept
-
-
-def test_assigned_target_replaces_the_built_one():
-    windows = segment_windows(_record(10.0), 2.0, 1.0)
-    first, second = windows[:2]
-    first.target_dt = None
-    assert not first.labeled and first.target_dt is None
-    kept = labeled_only(windows[:2])
-    assert len(kept) == 1 and kept[0] is second
-    zeros = np.zeros(second.length)
-    second.target_dt = zeros
-    assert second.labeled and second.target_dt is zeros
 
 
 def test_oracle_scores_from_targets_built_on_read():
@@ -266,9 +253,9 @@ def test_split_keep_boundary_when_disabled():
     assert (len(split.train), len(split.val), len(split.test)) == (6, 2, 2)
 
 
-def test_split_accepts_per_subject_mapping():
-    groups = {"a": _dummy_windows(10, "a"), "b": _dummy_windows(5, "b")}
-    split = split_dataset(groups, (0.6, 0.2, 0.2))
+def test_split_is_per_subject():
+    windows = _dummy_windows(10, "a") + _dummy_windows(5, "b")
+    split = split_dataset(windows, (0.6, 0.2, 0.2))
     assert len(split.train) == 9
     assert len(split.val) == 3
     assert len(split.test) == 3
