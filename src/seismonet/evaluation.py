@@ -17,9 +17,11 @@ DEFAULT_TOL_MS = 90.0
 
 # Windows per model forward pass in record inference. The batched
 # predictions are bitwise equal to one-window calls (the tests check it).
-# On the paper-default net with one BLAS thread, 4 and 8 scored a 10 min
-# record equally fast within noise, both about 1.25x faster than 1; 4
-# holds less memory.
+# On one core with one BLAS thread, 4 and 8 scored a 10 min record equally
+# fast, both about 1.25x faster than 1. With each batch split over two
+# cores, the eval_long benchmark (4 pairs of runs) read a median 62.1
+# windows/s at 4 and 67.4 at 8, but a peak RSS of 77.7 MB at 4 and
+# 89.1-89.8 MB at 8; 4 holds less memory.
 PREDICT_BATCH = 4
 
 HRV_INDEX_NAMES = ("mean_nn_ms", "sdnn_ms", "rmssd_ms", "pnn50")

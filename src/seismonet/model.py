@@ -38,6 +38,7 @@ from .nn import (
     resize_linear,
     xavier_uniform_init,
 )
+from .nn.pool import second_core
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,16 @@ class ModelConfig:
     def encoder_channels(self) -> list[int]:
         """Channel count after each contracting block (index 0 unused entry)."""
         return [self.base_channels * 2 ** n for n in range(self.levels)]
+
+
+# The smallest half batch that inference splits onto a second core, in
+# parameter values x input samples x windows (a proxy for the GEMM work).
+# Paper-default windows (4.17 M parameters x 2500 samples = 1.04e10) split
+# from batch 2 on. Measured with one BLAS thread on a 2-vCPU VM, smaller
+# halves gained nothing or lost: batch-4 predict of the desk net (N=3, 8
+# channels, 200 samples) took 1.5 ms on one thread and 7.4 ms split, and
+# the paper net on 1000-sample windows (half 8.3e9) broke even.
+SPLIT_MIN_WORK = 1e10
 
 
 def _same_pad(kernel: int) -> int:
@@ -331,6 +342,7 @@ class SeismoNet:
             dec_ch = block.out_channels
 
         self.denoise = DenoisingBlock(self.params, dec_ch, config, dtype)
+        self._window_work = self.params.count_values() * config.input_len
 
     @property
     def block_count(self) -> int:
@@ -379,11 +391,39 @@ class SeismoNet:
             arr = arr[None, None, :]
         elif arr.ndim == 2:
             arr = arr[:, None, :]
-        out = self.forward(SignalTensor(arr), tape=None, training=False).values
+        out = self._infer(arr)
         if squeeze == 1:
             return out[0, 0]
         if squeeze == 2:
             return out[:, 0, :]
+        return out
+
+    def _infer(self, x: np.ndarray) -> np.ndarray:
+        """Untaped inference-mode forward of a (b, 1, w) array.
+
+        Windows are independent in inference, so on a second core
+        (``nn.pool.second_core``) a batch of two or more runs as two halves
+        at once, the pool's worker taking the second. Each GEMM then sees a
+        shorter N dimension only, which leaves every output element's
+        summation order, and so its bits, unchanged. A half below
+        ``SPLIT_MIN_WORK`` stays on this thread: its ops are too small to
+        pay for the two threads' hand-offs of the GIL.
+        """
+        def fill(out, part):
+            out[...] = self.forward(SignalTensor(part), tape=None, training=False).values
+
+        half = len(x) // 2
+        pool = second_core() if half * self._window_work >= SPLIT_MIN_WORK else None
+        if pool is None:
+            return self.forward(SignalTensor(x), tape=None, training=False).values
+        out = np.empty((len(x), 1, self.config.input_len), dtype=self.dtype)
+        tail = pool.submit(fill, out[half:], x[half:])
+        try:
+            fill(out[:half], x[:half])
+        except BaseException:
+            tail.exception()  # the worker finishes before this frame unwinds
+            raise
+        tail.result()
         return out
 
 

@@ -84,7 +84,9 @@ def evaluate_loss(model: SeismoNet, windows: Sequence[Window],
                   batch_size: int = 16) -> float:
     """Mean smooth-L1 loss over windows, in inference mode.
 
-    Leaves parameters and running statistics untouched.
+    Predicts through ``model.predict``, so batches use a second core as
+    record inference does. Leaves parameters and running statistics
+    untouched.
     """
     if not windows:
         raise ValidationError("cannot evaluate loss on an empty window collection")
@@ -94,7 +96,7 @@ def evaluate_loss(model: SeismoNet, windows: Sequence[Window],
     for lo in range(0, len(windows), batch_size):
         chunk = windows[lo:lo + batch_size]
         inputs, targets = _stack_batch(chunk, model.dtype)
-        pred = model.forward(SignalTensor(inputs), tape=None, training=False)
+        pred = SignalTensor(model.predict(inputs))
         loss = smooth_l1_loss(pred, targets, reduction="mean", tape=None)
         total += loss * len(chunk)
         count += len(chunk)

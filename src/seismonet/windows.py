@@ -11,7 +11,7 @@ from .errors import InsufficientDataError, ValidationError
 from .records import Record
 
 
-@dataclass
+@dataclass(eq=False)
 class Window:
     """One fixed-length SCG segment with its local annotations.
 
@@ -21,7 +21,8 @@ class Window:
     annotation, clipped at ``dt_clip`` when set, computed on each read, so
     no window holds a target. ``segment_windows`` makes ``scg_seg`` a
     read-only view of the record's samples, so overlapping windows share
-    memory.
+    memory. Windows compare by identity: a field-wise ``==`` would compare
+    arrays, whose truth value is ambiguous.
     """
 
     subject_id: str

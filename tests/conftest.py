@@ -1,11 +1,43 @@
 """Shared test utilities: scalar-projection gradient checks and probes."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import seismonet.model
 from seismonet.nn import GradSlot, Tape
+
+SRC = Path(seismonet.__file__).resolve().parents[1]
+
+# Inference splits a batch over two cores only with at least two CPUs in the
+# process affinity; these tests compare that path with the one-thread path.
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least two CPUs")
+
+ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+
+
+def run_python(code: str, *args, one_cpu: bool = False) -> str:
+    """Run ``code`` in a fresh interpreter and return its stdout.
+
+    The child imports seismonet from this checkout with BLAS pinned to one
+    thread, so inference may use the second core. With ``one_cpu`` the
+    child pins itself to one CPU before anything else runs, which keeps
+    every batch on the calling thread.
+    """
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", (ONE_CPU if one_cpu else "") + code,
+                           *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def projection_check(build, arrays, proj_seed=99, step=1e-5):

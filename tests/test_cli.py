@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import seismonet
-from conftest import first_dim_offset, first_name_last_byte
+from conftest import first_dim_offset, first_name_last_byte, run_python, two_cpus
 from seismonet.cli import main
 from seismonet.records import load_record, write_record
 from seismonet.synth import SynthParams, synth_record
@@ -158,6 +158,47 @@ def test_agree_rejects_malformed_table(workspace, tmp_path, capsys, edit, messag
     assert run(config, "agree", str(table)) == 1
     assert f"{table}{message}" in capsys.readouterr().err
     assert not (tmp / "out" / "bland_altman_summary.csv").exists()
+
+
+# eval then infer, with the workspace net's batches split over two cores
+# (it is under the size floor), then the live thread count.
+SPLIT_EVAL_INFER = """
+import sys
+import threading
+import seismonet.model
+from seismonet.cli import main
+
+seismonet.model.SPLIT_MIN_WORK = 0
+config, record = sys.argv[1:]
+detect = ["--set", "eval.min_prominence=0", "--set", "eval.smoothing=3"]
+assert main(["--config", config, *detect, "eval"]) == 0
+assert main(["--config", config, *detect, "infer", record]) == 0
+print("threads", threading.active_count())
+"""
+
+
+@two_cpus
+def test_eval_and_infer_outputs_match_one_thread_bytes(workspace):
+    tmp, config = workspace
+    assert run(config, "synth") == 0
+    assert run(config, "train") == 0
+    record = sorted((tmp / "data").glob("*.csv"))[0]
+    out = tmp / "out"
+    trained = {p.name for p in out.iterdir()}
+    runs = []
+    for one_cpu in (False, True):
+        for path in out.iterdir():
+            if path.name not in trained:
+                path.unlink()
+        stdout = run_python(SPLIT_EVAL_INFER, config, record, one_cpu=one_cpu)
+        runs.append((stdout.splitlines()[-1],
+                     {p.name: p.read_bytes() for p in out.iterdir() if p.name not in trained}))
+    (split_threads, split), (single_threads, single) = runs
+    assert (split_threads, single_threads) == ("threads 2", "threads 1")
+    assert sorted(split) == sorted([
+        "report.csv", "hrv.csv", "bland_altman_points.csv", "bland_altman_summary.csv",
+        f"pred_{record.stem}.csv", f"{record.stem}.peaks"])
+    assert split == single
 
 
 def test_agree_and_hrv_reproduce_eval_tables(workspace):

@@ -11,6 +11,7 @@ import pytest
 
 import seismonet
 import seismonet.model
+from conftest import run_python
 from seismonet.checkpoint import load_checkpoint, save_checkpoint
 from seismonet.model import ModelConfig, build_model
 
@@ -46,6 +47,22 @@ def test_scipy_signal_loads_only_for_the_prominence_floor(tmp_path, min_prominen
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [loaded]
+
+
+def test_import_and_small_model_inference_start_no_thread():
+    # BLAS is pinned to one thread here, so only the size floor keeps the
+    # desk net's batches on the calling thread.
+    threads = run_python("""
+import threading
+import seismonet
+import numpy as np
+print(threading.active_count())
+model = seismonet.build_model(seismonet.ModelConfig(input_len=200, levels=3,
+                                                    base_channels=8), seed=0)
+model.predict(np.zeros((16, 200)))
+print(threading.active_count())
+""")
+    assert threads.split() == ["1", "1"]
 
 
 def test_load_runs_no_initializer(tmp_path, monkeypatch):

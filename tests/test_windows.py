@@ -137,6 +137,14 @@ def test_scg_seg_is_a_read_only_view_of_the_record():
     np.testing.assert_array_equal(record.scg, before)
 
 
+def test_windows_compare_by_identity():
+    x = np.zeros(3)
+    a, b = Window("a", 0, x), Window("a", 0, x)
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert [a, b].index(b) == 1
+
+
 def test_windows_carry_local_annotations_and_targets():
     record = _record(30.0)
     windows = segment_windows(record, 2.0, 1.0)
