@@ -38,7 +38,7 @@ from .nn import (
     resize_linear,
     xavier_uniform_init,
 )
-from .nn.pool import second_core
+from .nn.pool import run_halves, second_core
 
 
 @dataclass(frozen=True)
@@ -403,27 +403,23 @@ class SeismoNet:
 
         Windows are independent in inference, so on a second core
         (``nn.pool.second_core``) a batch of two or more runs as two halves
-        at once, the pool's worker taking the second. Each GEMM then sees a
-        shorter N dimension only, which leaves every output element's
-        summation order, and so its bits, unchanged. A half below
-        ``SPLIT_MIN_WORK`` stays on this thread: its ops are too small to
-        pay for the two threads' hand-offs of the GIL.
+        at once (``nn.pool.run_halves``), the pool's worker taking the
+        second. Each GEMM then sees a shorter N dimension only, which
+        leaves every output element's summation order, and so its bits,
+        unchanged. A half below ``SPLIT_MIN_WORK`` stays on this thread:
+        its ops are too small to pay for the two threads' hand-offs of the
+        GIL. The forward is untaped, so its kernels do not split again.
         """
-        def fill(out, part):
-            out[...] = self.forward(SignalTensor(part), tape=None, training=False).values
+        def fill(lo, hi):
+            out[lo:hi] = self.forward(SignalTensor(x[lo:hi]), tape=None,
+                                      training=False).values
 
         half = len(x) // 2
         pool = second_core() if half * self._window_work >= SPLIT_MIN_WORK else None
         if pool is None:
             return self.forward(SignalTensor(x), tape=None, training=False).values
         out = np.empty((len(x), 1, self.config.input_len), dtype=self.dtype)
-        tail = pool.submit(fill, out[half:], x[half:])
-        try:
-            fill(out[:half], x[:half])
-        except BaseException:
-            tail.exception()  # the worker finishes before this frame unwinds
-            raise
-        tail.result()
+        run_halves(pool, fill, len(x))
         return out
 
 

@@ -47,6 +47,21 @@ rank 1, where one rank-k GEMM is several times faster. On the narrow
 layers the column copy costs more than the GEMMs it feeds (the o=10, i=32,
 k=5 weight gradient at length 1250, batch 16, takes about 3.5x as long).
 
+A taped convolution (a training step's) runs each kernel over two cores
+when the one-worker pool in ``nn.pool`` is available and half the batch x
+weight values x the longer length reaches ``SPLIT_MIN_MACS``. The forward
+and the input gradient split the batch, both halves writing into one
+output. The per-tap weight gradient fills per-window partials
+(tap, b, out, in), one batch half per thread, then sums each tap over the
+batch as one thread would; the column weight gradient splits its GEMM by
+output-channel rows. Per-tap GEMMs are per window, so a batch split runs
+the same GEMM calls; a column GEMM cut along N or M sums every output
+element in the same order (Goto & van de Geijn, ACM TOMS 2008) unless a
+half falls to a small-matrix or GEMV path (``SMALL_GEMM_MACS``). So the
+split leaves every bit as on one thread. An untaped forward never splits
+here: ``SeismoNet.predict`` splits whole batches instead. Gradient
+accumulation stays on the calling thread.
+
 Weight layouts: (out_ch, in_ch, kernel) for ``conv1d`` and
 (in_ch, out_ch, kernel) for ``conv_transpose1d``, so a shared buffer makes
 the two operators exact adjoints of each other.
@@ -54,11 +69,24 @@ the two operators exact adjoints of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import ValidationError
+from .pool import run_halves, second_core
 from .tensor import Parameter, SignalTensor, Tape
+
+# The smallest half of a taped convolution that splits onto a second core,
+# in multiply-adds: half the batch x weight values x the longer of the input
+# and output lengths.
+SPLIT_MIN_MACS = 3e7
+# OpenBLAS computes a GEMM of at most 100**3 multiply-adds in a small-matrix
+# kernel (single precision, AVX-512 builds), and numpy computes a product
+# with a one-row or one-column operand as a GEMV. Both sum in another order
+# than the blocked GEMM, so a column-family GEMM splits only when each half
+# stays above the one and clear of the other.
+SMALL_GEMM_MACS = 100 ** 3
 
 
 @dataclass(frozen=True)
@@ -95,20 +123,25 @@ class ConvSpec:
 # Core correlation kernels (no autograd; shared by conv and transposed conv).
 # ---------------------------------------------------------------------------
 
-def _taps(kernel: int, stride: int, padding: int, in_len: int, n_out: int):
-    """Yield (j, r, q, lo, hi) for each tap j that reads inside the input.
+@lru_cache(maxsize=1024)
+def _taps(kernel: int, stride: int, padding: int, in_len: int,
+          n_out: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(j, r, q, lo, hi) for each tap j that reads inside the input.
 
     Output l of tap j reads input s*l + j - padding, which is element l + q
     of phase r = (j - padding) mod s, with q = floor((j - padding) / s).
     Outputs [lo, hi) are those whose read lies inside the unpadded input;
-    the others read zero padding and are skipped.
+    the others read zero padding and are skipped. A layer's three kernels,
+    in every step, read the same geometry, so it is computed once.
     """
+    taps = []
     for j in range(kernel):
         r, q = (j - padding) % stride, (j - padding) // stride
         phase_len = (in_len - r + stride - 1) // stride
         lo, hi = max(0, -q), min(n_out, phase_len - q)
         if lo < hi:
-            yield j, r, q, lo, hi
+            taps.append((j, r, q, lo, hi))
+    return tuple(taps)
 
 
 def _phases(x: np.ndarray, stride: int) -> list[np.ndarray]:
@@ -140,60 +173,114 @@ def _columns(x: np.ndarray, kernel: int, stride: int, padding: int,
     return cols.reshape(in_ch * kernel, b * n_out)
 
 
+def _gemm_pool(pool, half_macs: int, half_len: int):
+    """``pool`` if a column-family GEMM keeps its bits when split in two, else None.
+
+    ``half_macs`` is the smaller half's multiply-adds and ``half_len`` its
+    extent along the split dimension.
+    """
+    return pool if half_macs > SMALL_GEMM_MACS and half_len >= 2 else None
+
+
 def _fold(dy: np.ndarray) -> np.ndarray:
     """(batch, ch, n) -> (ch, batch*n), the GEMM operand of the column family."""
     b, ch, n = dy.shape
     return np.ascontiguousarray(dy.transpose(1, 0, 2)).reshape(ch, b * n)
 
 
-def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                  pool=None) -> np.ndarray:
     b, in_ch, in_len = x.shape
     out_ch, _, kernel = w.shape
     n_out = (in_len + 2 * padding - kernel) // stride + 1
+    dtype = np.result_type(x, w)
     if _use_columns(out_ch, in_ch):
-        cols = _columns(x, kernel, stride, padding, n_out)
-        y = w.reshape(out_ch, in_ch * kernel) @ cols
-        return np.ascontiguousarray(y.reshape(out_ch, b, n_out).transpose(1, 0, 2))
-    w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (kernel, out, in)
-    phases = _phases(x, stride)
-    y = np.zeros((b, out_ch, n_out), dtype=np.result_type(x, w))
-    for j, r, q, lo, hi in _taps(kernel, stride, padding, in_len, n_out):
-        y[:, :, lo:hi] += w_taps[j] @ phases[r][:, :, lo + q:hi + q]
+        w_cols = w.reshape(out_ch, in_ch * kernel)
+        y = np.empty((b, out_ch, n_out), dtype=dtype)
+        pool = _gemm_pool(pool, w.size * (b // 2) * n_out, (b // 2) * n_out)
+
+        def fill(b0, b1):
+            cols = _columns(x[b0:b1], kernel, stride, padding, n_out)
+            y[b0:b1] = (w_cols @ cols).reshape(out_ch, b1 - b0, n_out).transpose(1, 0, 2)
+    else:
+        w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (kernel, out, in)
+        y = np.zeros((b, out_ch, n_out), dtype=dtype)
+
+        def fill(b0, b1):
+            phases, part = _phases(x[b0:b1], stride), y[b0:b1]
+            for j, r, q, lo, hi in _taps(kernel, stride, padding, in_len, n_out):
+                part[:, :, lo:hi] += w_taps[j] @ phases[r][:, :, lo + q:hi + q]
+    run_halves(pool, fill, b)
     return y
 
 
 def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                     input_len: int) -> np.ndarray:
+                     input_len: int, pool=None) -> np.ndarray:
     b, _, n_out = dy.shape
     out_ch, in_ch, kernel = w.shape
     # dx[:, :, r + stride*t] is dxp[:, :, t, r]: phase r is a strided view.
     phase_len = -(-input_len // stride)
     dxp = np.zeros((b, in_ch, phase_len, stride), dtype=np.result_type(dy, w))
+    taps = _taps(kernel, stride, padding, input_len, n_out)
     if _use_columns(out_ch, in_ch):
-        dcols = w.reshape(out_ch, in_ch * kernel).T @ _fold(dy)
-        dcols = dcols.reshape(in_ch, kernel, b, n_out).transpose(2, 0, 1, 3)
-        for j, r, q, lo, hi in _taps(kernel, stride, padding, input_len, n_out):
-            dxp[:, :, lo + q:hi + q, r] += dcols[:, :, j, lo:hi]
+        w_cols_t = w.reshape(out_ch, in_ch * kernel).T
+        pool = _gemm_pool(pool, w.size * (b // 2) * n_out, (b // 2) * n_out)
+
+        def fill(b0, b1):
+            dcols = w_cols_t @ _fold(dy[b0:b1])
+            dcols = dcols.reshape(in_ch, kernel, b1 - b0, n_out).transpose(2, 0, 1, 3)
+            part = dxp[b0:b1]
+            for j, r, q, lo, hi in taps:
+                part[:, :, lo + q:hi + q, r] += dcols[:, :, j, lo:hi]
     else:
         w_taps = np.ascontiguousarray(w.transpose(2, 1, 0))  # (kernel, in, out)
-        for j, r, q, lo, hi in _taps(kernel, stride, padding, input_len, n_out):
-            dxp[:, :, lo + q:hi + q, r] += w_taps[j] @ dy[:, :, lo:hi]
+
+        def fill(b0, b1):
+            part = dxp[b0:b1]
+            for j, r, q, lo, hi in taps:
+                part[:, :, lo + q:hi + q, r] += w_taps[j] @ dy[b0:b1, :, lo:hi]
+    run_halves(pool, fill, b)
     return dxp.reshape(b, in_ch, phase_len * stride)[:, :, :input_len]
 
 
 def _corr_weight_grad(dy: np.ndarray, x: np.ndarray, stride: int, padding: int,
-                      kernel: int) -> np.ndarray:
-    in_len = x.shape[2]
+                      kernel: int, pool=None) -> np.ndarray:
+    b, in_ch, in_len = x.shape
     _, out_ch, n_out = dy.shape
-    in_ch = x.shape[1]
+    dtype = np.result_type(dy, x)
     if _use_columns(out_ch, in_ch):
-        cols = _columns(x, kernel, stride, padding, n_out)
-        return (_fold(dy) @ cols.T).reshape(out_ch, in_ch, kernel)
-    phases = _phases(x, stride)
-    dw = np.zeros((out_ch, in_ch, kernel), dtype=np.result_type(dy, x))
-    for j, r, q, lo, hi in _taps(kernel, stride, padding, in_len, n_out):
-        xt = phases[r][:, :, lo + q:hi + q].transpose(0, 2, 1)
-        dw[:, :, j] = (dy[:, :, lo:hi] @ xt).sum(axis=0)
+        dy_cols = _fold(dy)
+        cols_t = _columns(x, kernel, stride, padding, n_out).T
+        dw = np.empty((out_ch, in_ch * kernel), dtype=dtype)
+        pool = _gemm_pool(pool, (out_ch // 2) * in_ch * kernel * b * n_out, out_ch // 2)
+
+        def fill(o0, o1):  # a block of output channels: rows of the GEMM
+            np.matmul(dy_cols[o0:o1], cols_t, out=dw[o0:o1])
+        run_halves(pool, fill, out_ch)
+        return dw.reshape(out_ch, in_ch, kernel)
+    taps = _taps(kernel, stride, padding, in_len, n_out)
+
+    def operands(b0, b1):
+        """(j, dy_j, xt_j) per tap, for windows [b0, b1): dw_j sums dy_j @ xt_j."""
+        phases = _phases(x[b0:b1], stride)
+        for j, r, q, lo, hi in taps:
+            yield j, dy[b0:b1, :, lo:hi], phases[r][:, :, lo + q:hi + q].transpose(0, 2, 1)
+
+    dw = np.zeros((out_ch, in_ch, kernel), dtype=dtype)
+    if pool is None or b < 2:
+        for j, dy_j, xt_j in operands(0, b):
+            dw[:, :, j] = (dy_j @ xt_j).sum(axis=0)
+        return dw
+    # per-window partials of each tap, one batch half per thread, then the
+    # same sum over the batch as above
+    partials = np.empty((len(taps), b, out_ch, in_ch), dtype=dtype)
+
+    def fill(b0, b1):
+        for t, (_, dy_j, xt_j) in enumerate(operands(b0, b1)):
+            np.matmul(dy_j, xt_j, out=partials[t, b0:b1])
+    run_halves(pool, fill, b)
+    for t, (j, *_) in enumerate(taps):
+        dw[:, :, j] = partials[t].sum(axis=0)
     return dw
 
 
@@ -238,10 +325,12 @@ def _conv(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
             f"output length < 1 for input length {in_len} with {spec}")
 
     transposed, stride, padding = spec.transposed, spec.stride, spec.padding
+    half_macs = x.batch // 2 * weight.values.size * max(in_len, out_len)
+    pool = second_core() if tape is not None and half_macs >= SPLIT_MIN_MACS else None
     if transposed:
-        y_values = _corr_input_grad(x.values, weight.values, stride, padding, out_len)
+        y_values = _corr_input_grad(x.values, weight.values, stride, padding, out_len, pool)
     else:
-        y_values = _corr_forward(x.values, weight.values, stride, padding)
+        y_values = _corr_forward(x.values, weight.values, stride, padding, pool)
     y_values += bias.values[None, :, None]
     y = SignalTensor(y_values)
 
@@ -251,11 +340,12 @@ def _conv(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
         def backward():
             dy = ys.grad
             if xs.requires_grad:
-                xs.grad += (_corr_forward(dy, weight.values, stride, padding) if transposed
-                            else _corr_input_grad(dy, weight.values, stride, padding, in_len))
+                xs.add_owned(
+                    _corr_forward(dy, weight.values, stride, padding, pool) if transposed
+                    else _corr_input_grad(dy, weight.values, stride, padding, in_len, pool))
             # the correlation's output gradient and input: (dy, x), swapped when transposed
             pair = (x_values, dy) if transposed else (dy, x_values)
-            weight.grad += _corr_weight_grad(*pair, stride, padding, spec.kernel)
+            weight.grad += _corr_weight_grad(*pair, stride, padding, spec.kernel, pool)
             bias.grad += dy.sum(axis=(0, 2))
         tape.record(backward)
     return y

@@ -1,8 +1,15 @@
-"""A one-worker thread pool that lets inference use a second core.
+"""A one-worker thread pool that lets a process use a second core.
 
 numpy's ``matmul`` releases the GIL, so a worker thread can run one half of
-a batch's GEMMs while the calling thread runs the other. The pool exists
-only where that can help:
+a batch's GEMMs while the calling thread runs the other. Two callers use
+it through ``run_halves``: inference (``SeismoNet.predict`` splits a batch
+of whole windows) and the taped convolutions of a training step (each of
+the three kernels splits its batch, or a weight gradient its output rows;
+see ``nn.ops``). Either split only shortens a GEMM's N or M dimension,
+which leaves every output element's summation order, and so its bits,
+unchanged, as long as each half stays a blocked GEMM (``nn.ops``
+explains the small-matrix exception). The pool exists only where that
+can help:
 
 - the process may run on at least two CPUs (``os.sched_getaffinity``);
 - BLAS is declared single-threaded in the environment: the first of
@@ -12,7 +19,9 @@ only where that can help:
 
 The decision is made once per process, on first use, and no thread exists
 before then. A forked child decides afresh rather than inherit a pool whose
-worker did not survive the fork.
+worker did not survive the fork. On the worker itself ``second_core``
+returns None: a job that split again would queue behind itself on the one
+worker and wait forever.
 
 Creating the pool caps glibc at one malloc arena (``mallopt(M_ARENA_MAX,
 1)``; a no-op off glibc). A worker thread otherwise gets an arena of its
@@ -31,6 +40,7 @@ M_ARENA_MAX = -8  # glibc's mallopt parameter number
 _executor = None
 _owner_pid: int | None = None
 _lock = threading.Lock()
+_thread = threading.local()  # ``on_worker`` is set on the pool's worker thread
 
 
 def blas_single_threaded() -> bool:
@@ -60,9 +70,15 @@ def _cap_malloc_arenas() -> None:
     mallopt(M_ARENA_MAX, 1)
 
 
+def _mark_worker() -> None:
+    _thread.on_worker = True
+
+
 def second_core():
     """The pool's executor, or None when work should stay on this thread."""
     global _executor, _owner_pid
+    if getattr(_thread, "on_worker", False):
+        return None
     pid = os.getpid()
     if _owner_pid != pid:
         with _lock:  # two first callers must not both make a pool
@@ -73,6 +89,29 @@ def second_core():
 
                     _cap_malloc_arenas()
                     _executor = ThreadPoolExecutor(max_workers=1,
-                                                   thread_name_prefix="seismonet")
+                                                   thread_name_prefix="seismonet",
+                                                   initializer=_mark_worker)
                 _owner_pid = pid
     return _executor
+
+
+def run_halves(pool, fill, n: int) -> None:
+    """Run ``fill(lo, hi)`` over ``[0, n)``, as two halves when ``pool`` is given.
+
+    The pool's worker runs ``fill(n // 2, n)`` while this thread runs
+    ``fill(0, n // 2)``; both halves write into one output that ``fill``
+    closes over. This thread waits for the worker before it returns or
+    re-raises, so no half is still writing once the caller moves on. With
+    no pool, or fewer than two items, ``fill(0, n)`` runs here.
+    """
+    if pool is None or n < 2:
+        fill(0, n)
+        return
+    half = n // 2
+    tail = pool.submit(fill, half, n)
+    try:
+        fill(0, half)
+    except BaseException:
+        tail.exception()  # the worker finishes before this frame unwinds
+        raise
+    tail.result()

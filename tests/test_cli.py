@@ -201,6 +201,40 @@ def test_eval_and_infer_outputs_match_one_thread_bytes(workspace):
     assert split == single
 
 
+# train with the workspace net's taped convolutions split over two cores (it
+# is under the size floor), then the live thread count; validation batches
+# stay whole, so a second thread means a training kernel split.
+SPLIT_TRAIN = """
+import sys
+import threading
+from seismonet.cli import main
+from seismonet.nn import ops
+
+ops.SPLIT_MIN_MACS = 0
+assert main(["--config", sys.argv[1], "--set", "train.checkpoint_every=1", "train"]) == 0
+print("threads", threading.active_count())
+"""
+
+
+@two_cpus
+def test_train_outputs_match_one_thread_bytes(workspace):
+    tmp, config = workspace
+    assert run(config, "synth") == 0
+    out = tmp / "out"
+    runs = []
+    for one_cpu in (False, True):
+        stdout = run_python(SPLIT_TRAIN, config, one_cpu=one_cpu)
+        runs.append((stdout.splitlines()[-1],
+                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        for path in out.iterdir():
+            path.unlink()
+    (split_threads, split), (single_threads, single) = runs
+    assert (split_threads, single_threads) == ("threads 2", "threads 1")
+    assert sorted(split) == ["history.csv", "model_best.smn", "model_epoch0001.smn",
+                             "model_epoch0002.smn", "model_final.smn"]
+    assert split == single
+
+
 def test_agree_and_hrv_reproduce_eval_tables(workspace):
     tmp, config = workspace
     run(config, "synth")

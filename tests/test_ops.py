@@ -12,6 +12,7 @@ from seismonet.model import ModelConfig, build_model
 from seismonet.nn import (
     BatchNormState,
     ConvSpec,
+    GradSlot,
     Parameter,
     ParamStore,
     SignalTensor,
@@ -30,6 +31,7 @@ from seismonet.nn import (
     smooth_l1_loss,
     xavier_uniform_init,
 )
+from seismonet.nn import ops
 
 
 def tensor(values):
@@ -531,6 +533,65 @@ def test_unread_gradient_accumulates_from_zero(rng):
     x.zero_grad()
     assert x._grad is None
     np.testing.assert_array_equal(x.grad, np.zeros_like(g))
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_adopted_gradient_is_bitwise_zeros_plus_it(contiguous):
+    # -0.0 must come out as +0.0, as 0 + (-0) does
+    g = np.array([[[-0.0, 0.0, 1.5, -2.0, np.nan, -0.0, 3.0]]], dtype=np.float32)
+    if not contiguous:
+        g = g[:, :, :5]
+    expected = np.zeros(g.shape, np.float32) + g
+    slot = GradSlot(g.shape, np.float32)
+    slot.add_owned(g)
+    assert slot.buffer.flags.c_contiguous
+    assert slot.buffer.tobytes() == expected.tobytes()
+    slot.add_owned(np.ones(g.shape, np.float32))  # later gradients add in place
+    assert slot.buffer.tobytes() == (expected + 1).tobytes()
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_conv_input_gradient_adopts_its_kernel_result(rng, transposed):
+    # Stride 2 on an odd length: the correlation input gradient is a slice of
+    # a buffer one sample longer, so the conv keeps a contiguous copy of it.
+    x = SignalTensor(rng.normal(size=(2, 3, 11)).astype(np.float32))
+    spec = ConvSpec(3, 4, 3, 2, 1, transposed=transposed)
+    w = Parameter(rng.normal(size=spec.weight_shape).astype(np.float32))
+    tape = Tape()
+    y = (conv_transpose1d if transposed else conv1d)(x, w, Parameter(np.zeros(4, np.float32)),
+                                                     spec, tape)
+    dy = rng.normal(size=y.shape).astype(np.float32)
+    y.grad[...] = dy
+    tape.backward()
+    kernel = (ops._corr_forward(dy, w.values, 2, 1) if transposed
+              else ops._corr_input_grad(dy, w.values, 2, 1, 11))
+    assert x.grad.flags.c_contiguous
+    assert x.grad.tobytes() == (np.zeros(x.shape, np.float32) + kernel).tobytes()
+
+
+def test_adopted_conv_gradient_takes_a_later_write_through_a_reshape(rng):
+    # The conv's closure runs first and adopts its result as x's gradient;
+    # resize_linear's closure then adds into that buffer through a reshape.
+    values = rng.normal(size=(2, 3, 11))
+    w = rng.normal(size=(4, 3, 3))
+    dy_resize, dy_conv = rng.normal(size=(2, 3, 7)), rng.normal(size=(2, 4, 6))
+
+    def resize(x, tape):
+        return resize_linear(x, 7, tape)
+
+    def conv(x, tape):
+        return conv1d(x, Parameter(w), Parameter(np.zeros(4)), ConvSpec(3, 4, 3, 2, 1), tape)
+
+    def input_grad(*ops_and_grads):
+        x, tape = tensor(values), Tape()
+        for op, dy in ops_and_grads:
+            op(x, tape).grad[...] = dy
+        tape.backward()
+        return x.grad
+
+    both = input_grad((resize, dy_resize), (conv, dy_conv))
+    np.testing.assert_allclose(
+        both, input_grad((resize, dy_resize)) + input_grad((conv, dy_conv)), rtol=1e-12)
 
 
 def test_output_gradient_set_by_index_reaches_input(rng):
