@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .config import RunConfig, load_config
+from .config import (DatasetConfig, EvalConfig, PathsConfig, RunConfig, SamplingConfig,
+                     SynthCohort, load_config)
 from .detect import ValleyParams
 from .errors import (
     ConfigError,
@@ -38,21 +39,18 @@ from .records import (
     write_annotations,
     write_record,
 )
-from .synth import synth_record
+from .synth import SynthParams, synth_record
 from .training import TrainConfig, train
 from .windows import labeled_only, segment_windows, split_dataset
 
 
 def _load_resampled(cfg: RunConfig, path: str | Path) -> Record:
-    record = load_record(path, fs=cfg["sampling.source_fs"])
-    target_fs = cfg["sampling.target_fs"]
-    if target_fs > 0 and target_fs != record.fs:
-        record = resample_record(record, target_fs)
-    return record
+    sampling = cfg.section(SamplingConfig)
+    return resample_record(load_record(path, fs=sampling.source_fs), sampling.effective_fs)
 
 
 def _load_records(cfg: RunConfig) -> list[Record]:
-    data_dir = cfg.data_dir()
+    data_dir = Path(cfg.section(PathsConfig).data_dir)
     paths = sorted(data_dir.glob("*.csv"))
     if not paths:
         raise ValidationError(f"no record CSV files found in {data_dir}")
@@ -60,21 +58,34 @@ def _load_records(cfg: RunConfig) -> list[Record]:
 
 
 def _windows_split(cfg: RunConfig, records: list[Record]):
+    ds = cfg.section(DatasetConfig)
     windows = []
     for record in records:
         windows.extend(labeled_only(segment_windows(
-            record, cfg["dataset.window_sec"], cfg["dataset.hop_sec"],
-            dt_clip=cfg.dt_clip())))
-    return split_dataset(windows, cfg.ratios(),
-                         drop_boundary=cfg["dataset.drop_boundary"])
+            record, ds.window_sec, ds.hop_sec, dt_clip=ds.dt_clip or None)))
+    return split_dataset(windows, (ds.train_ratio, ds.val_ratio, ds.test_ratio),
+                         drop_boundary=ds.drop_boundary)
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    out_dir = Path(cfg.section(PathsConfig).out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def synth_params(cfg: RunConfig, subject_index: int) -> SynthParams:
+    # Slight per-subject rate offsets keep cross-subject statistics
+    # non-degenerate while staying fully seeded.
+    hr = min(cfg["synth.mean_hr_bpm"] + 2.0 * subject_index, 240.0)
+    return cfg.section(SynthParams, mean_hr_bpm=hr, seed=cfg["synth.seed"] + subject_index)
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    data_dir = cfg.data_dir()
+    data_dir = Path(cfg.section(PathsConfig).data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
-    n = cfg["synth.subjects"]
+    n = cfg.section(SynthCohort).subjects
     for i in range(n):
-        record = synth_record(cfg.synth_params(i), subject_id=f"subject{i + 1:02d}")
+        record = synth_record(synth_params(cfg, i), subject_id=f"subject{i + 1:02d}")
         write_record(record, data_dir / f"{record.subject_id}.csv")
     print(f"wrote {n} synthetic records to {data_dir}")
     return 0
@@ -89,8 +100,7 @@ def cmd_train(cfg: RunConfig) -> int:
     input_len = split.train[0].length
     model = build_model(cfg.section(ModelConfig, input_len=input_len), seed=train_cfg.seed)
 
-    out_dir = cfg.out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     model, history = train(model, split, train_cfg, checkpoint_dir=out_dir)
     history.to_csv(out_dir / "history.csv")
     last = history.records[-1]
@@ -101,17 +111,16 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    model = load_checkpoint(cfg.checkpoint_path())
+    model = load_checkpoint(cfg.section(PathsConfig).checkpoint_path)
     records = _load_records(cfg)
     split = _windows_split(cfg, records)
     if not split.test:
         raise InsufficientDataError("test split is empty")
-    fs = cfg.effective_fs()
-    report = evaluate_split(model, split.test, fs, cfg.section(ValleyParams),
-                            tol_ms=cfg["eval.tol_ms"],
-                            per_window=cfg["eval.per_window"])
-    out_dir = cfg.out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ev = cfg.section(EvalConfig)
+    report = evaluate_split(model, split.test, cfg.section(SamplingConfig).effective_fs,
+                            cfg.section(ValleyParams), tol_ms=ev.tol_ms,
+                            per_window=ev.per_window)
+    out_dir = _out_dir(cfg)
     report.to_csv(out_dir / "report.csv")
     rows = hrv_table(report)
     write_hrv_csv(rows, out_dir / "hrv.csv")
@@ -123,11 +132,11 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_infer(cfg: RunConfig, record_path: str) -> int:
-    model = load_checkpoint(cfg.checkpoint_path())
+    model = load_checkpoint(cfg.section(PathsConfig).checkpoint_path)
     record = _load_resampled(cfg, record_path)
+    ds = cfg.section(DatasetConfig)
     try:
-        windows = segment_windows(record, cfg["dataset.window_sec"],
-                                  cfg["dataset.hop_sec"])
+        windows = segment_windows(record, ds.window_sec, ds.hop_sec)
     except InsufficientDataError:
         print(f"record {record.subject_id!r} is shorter than one window; "
               f"nothing to infer")
@@ -137,8 +146,7 @@ def cmd_infer(cfg: RunConfig, record_path: str) -> int:
             f"window length {windows[0].length} != model input length "
             f"{model.config.input_len}; adjust dataset.window_sec or sampling")
 
-    out_dir = cfg.out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     inference = RecordInference(model, windows, record.fs, cfg.section(ValleyParams))
     pred_path = out_dir / f"pred_{record.subject_id}.csv"
     with open(pred_path, "w", encoding="utf-8") as fh:
@@ -169,9 +177,7 @@ def cmd_hrv(cfg: RunConfig) -> int:
             print(f"skipping {record.subject_id!r}: fewer than 3 annotated peaks")
             continue
         rows.append((record.subject_id, "ecg", hrv_indices(nn_intervals(peaks, record.fs))))
-    out_dir = cfg.out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "hrv.csv"
+    path = _out_dir(cfg) / "hrv.csv"
     write_hrv_csv(rows, path)
     print(f"wrote {len(rows)} HRV rows to {path}")
     return 0
@@ -179,9 +185,8 @@ def cmd_hrv(cfg: RunConfig) -> int:
 
 def cmd_agree(cfg: RunConfig, hrv_csv: str | None) -> int:
     """Bland-Altman agreement from an hrv.csv with scg and ecg rows."""
-    rows = read_hrv_csv(hrv_csv if hrv_csv else cfg.out_dir() / "hrv.csv")
-    out_dir = cfg.out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = read_hrv_csv(hrv_csv or Path(cfg.section(PathsConfig).out_dir) / "hrv.csv")
+    out_dir = _out_dir(cfg)
     stats = write_agreement_csv(rows, out_dir / "bland_altman_points.csv",
                                 out_dir / "bland_altman_summary.csv")
     for name, st in stats.items():
@@ -250,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -6,13 +6,13 @@ config is valid; ``--set key=value`` overrides individual entries.
 """
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 from .detect import ValleyParams
 from .errors import ConfigError
-from .fieldcodec import parse_bool, parse_float, parser, settable
+from .fieldcodec import at_least, parser, settable
 from .model import ModelConfig
 from .synth import SynthParams
 from .training import TrainConfig
@@ -20,63 +20,67 @@ from .training import TrainConfig
 T = TypeVar("T")
 
 
-def _parse_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
+@dataclass(frozen=True)
+class PathsConfig:
+    data_dir: str = "data"
+    out_dir: str = "out"
+    checkpoint: str = ""  # empty: model_final.smn in out_dir
+
+    @property
+    def checkpoint_path(self) -> Path:
+        return Path(self.checkpoint or Path(self.out_dir) / "model_final.smn")
 
 
-def _parse_non_negative(text: str) -> float:
-    value = parse_float(text)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
-    return value
+@dataclass(frozen=True)
+class SamplingConfig:
+    source_fs: float = 250.0
+    target_fs: float = field(default=0.0, metadata=at_least(0))  # 0: no resampling
+
+    @property
+    def effective_fs(self) -> float:
+        return self.target_fs if self.target_fs > 0 else self.source_fs
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    window_sec: float = 10.0
+    hop_sec: float = 5.0
+    train_ratio: float = 0.6
+    val_ratio: float = 0.2
+    test_ratio: float = 0.2
+    dt_clip: float = field(default=0.0, metadata=at_least(0))  # 0: no clip
+    drop_boundary: bool = True
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    tol_ms: float = field(default=90.0, metadata=at_least(0))
+    per_window: bool = False
+
+
+@dataclass(frozen=True)
+class SynthCohort:
+    subjects: int = field(default=3, metadata=at_least(1))
 
 
 # Each settable field of these dataclasses is the key <section>.<field>,
-# parsed by the codec of its annotation, with the field's default.
-SECTIONS = {ModelConfig: "model", TrainConfig: "train", ValleyParams: "eval",
-            SynthParams: "synth"}
-
-
-def _field_keys(cls: type, **defaults: Any) -> dict[str, tuple[Callable[[str], Any], Any]]:
-    return {f"{SECTIONS[cls]}.{f.name}": (parser(f), defaults.get(f.name, f.default))
-            for f in filter(settable, fields(cls))}
-
+# parsed by the codec of its annotation (within its bound), with the
+# field's default.
+SECTIONS = {PathsConfig: "paths", SamplingConfig: "sampling", DatasetConfig: "dataset",
+            ModelConfig: "model", TrainConfig: "train", EvalConfig: "eval",
+            ValleyParams: "eval", SynthCohort: "synth", SynthParams: "synth"}
 
 # key -> (parser, default)
 SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "paths.data_dir": (str, "data"),
-    "paths.out_dir": (str, "out"),
-    "paths.checkpoint": (str, ""),
-    "sampling.source_fs": (parse_float, 250.0),
-    "sampling.target_fs": (_parse_non_negative, 0.0),
-    "dataset.window_sec": (parse_float, 10.0),
-    "dataset.hop_sec": (parse_float, 5.0),
-    "dataset.train_ratio": (parse_float, 0.6),
-    "dataset.val_ratio": (parse_float, 0.2),
-    "dataset.test_ratio": (parse_float, 0.2),
-    "dataset.dt_clip": (_parse_non_negative, 0.0),
-    "dataset.drop_boundary": (parse_bool, True),
-    **_field_keys(ModelConfig),
-    **_field_keys(TrainConfig),
-    "eval.tol_ms": (_parse_non_negative, 90.0),
-    **_field_keys(ValleyParams),
-    "eval.per_window": (parse_bool, False),
-    "synth.subjects": (_parse_count, 3),
-    # SynthParams has no default record rate or length.
-    **_field_keys(SynthParams, fs=250.0, duration_s=60.0),
-}
+    f"{section}.{f.name}": (parser(f), f.default)
+    for cls, section in SECTIONS.items() for f in filter(settable, fields(cls))}
 
 
 class RunConfig:
     """Validated key/value store with typed section accessors."""
 
-    def __init__(self, values: dict[str, Any] | None = None):
+    def __init__(self):
         self._values = {key: default for key, (_, default) in SCHEMA.items()}
-        if values:
-            self._values.update(values)
 
     def __getitem__(self, key: str) -> Any:
         if key not in SCHEMA:
@@ -92,42 +96,11 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
-    # ----- section accessors -------------------------------------------
-
-    def data_dir(self) -> Path:
-        return Path(self["paths.data_dir"])
-
-    def out_dir(self) -> Path:
-        return Path(self["paths.out_dir"])
-
-    def checkpoint_path(self) -> Path:
-        explicit = self["paths.checkpoint"]
-        return Path(explicit) if explicit else self.out_dir() / "model_final.smn"
-
-    def effective_fs(self) -> float:
-        target = self["sampling.target_fs"]
-        return target if target > 0 else self["sampling.source_fs"]
-
-    def ratios(self) -> tuple[float, float, float]:
-        return (self["dataset.train_ratio"], self["dataset.val_ratio"],
-                self["dataset.test_ratio"])
-
-    def dt_clip(self) -> float | None:
-        clip = self["dataset.dt_clip"]
-        return clip if clip > 0 else None
-
     def section(self, cls: type[T], **given: Any) -> T:
         """Build ``cls`` from its section's keys; ``given`` adds or overrides fields."""
         values = {f.name: self[f"{SECTIONS[cls]}.{f.name}"]
                   for f in filter(settable, fields(cls))}
         return cls(**{**values, **given})
-
-    def synth_params(self, subject_index: int) -> SynthParams:
-        # Slight per-subject rate offsets keep cross-subject statistics
-        # non-degenerate while staying fully seeded.
-        hr = min(self["synth.mean_hr_bpm"] + 2.0 * subject_index, 240.0)
-        return self.section(SynthParams, mean_hr_bpm=hr,
-                            seed=self["synth.seed"] + subject_index)
 
 
 def load_config(path: str | Path | None) -> RunConfig:

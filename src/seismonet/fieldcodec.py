@@ -20,6 +20,11 @@ def settable(field: Field) -> bool:
     return field.metadata.get("settable", True)
 
 
+def at_least(bound: float) -> MappingProxyType:
+    """Field metadata: the field's text parses only to values >= ``bound``."""
+    return MappingProxyType({"at_least": bound})
+
+
 def parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -43,6 +48,7 @@ def parse_int_tuple(text: str) -> tuple[int, ...]:
 
 # annotation -> (parse, format)
 CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+    "str": (str, str),
     "int": (int, str),
     "int | None": (int, str),
     "float": (parse_float, repr),
@@ -52,7 +58,16 @@ CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
 
 
 def parser(field: Field) -> Callable[[str], Any]:
-    return CODECS[field.type][0]
+    parse, bound = CODECS[field.type][0], field.metadata.get("at_least")
+    if bound is None:
+        return parse
+
+    def parse_bounded(text: str) -> Any:
+        value = parse(text)
+        if value < bound:
+            raise ValueError(f"must be >= {bound}, got {value}")
+        return value
+    return parse_bounded
 
 
 def formatter(field: Field) -> Callable[[Any], str]:

@@ -340,9 +340,12 @@ def _conv(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
         def backward():
             dy = ys.grad
             if xs.requires_grad:
+                # Of the kernels, only the column-family forward copies a GEMM
+                # result (which may hold -0.0); the others add into zeros.
                 xs.add_owned(
                     _corr_forward(dy, weight.values, stride, padding, pool) if transposed
-                    else _corr_input_grad(dy, weight.values, stride, padding, in_len, pool))
+                    else _corr_input_grad(dy, weight.values, stride, padding, in_len, pool),
+                    signed_zeros=transposed and _use_columns(*weight.shape[:2]))
             # the correlation's output gradient and input: (dy, x), swapped when transposed
             pair = (x_values, dy) if transposed else (dy, x_values)
             weight.grad += _corr_weight_grad(*pair, stride, padding, spec.kernel, pool)

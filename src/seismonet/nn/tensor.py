@@ -57,23 +57,26 @@ class GradSlot:
         # ``slot.grad += g`` reads the buffer, adds in place, then assigns it back.
         self.buffer = value
 
-    def add_owned(self, g: np.ndarray) -> None:
+    def add_owned(self, g: np.ndarray, signed_zeros: bool = True) -> None:
         """``grad += g`` for a fresh array ``g`` that nothing else holds.
 
         The first gradient adopts ``g`` as the buffer rather than adding it
         to zeros. The in-place ``g += 0.0`` keeps that bitwise equal to
         ``zeros + g``: it turns -0.0 into +0.0 and leaves every other value
-        alone. A ``g`` that is not C-contiguous (a slice of a larger
-        result) is copied once: closures write into the buffer through
-        reshapes, and a reshape of a strided array may be a copy.
+        alone. A ``g`` built by ``+=`` into ``np.zeros`` holds no -0.0
+        (+0.0 + -0.0 is +0.0), so its maker passes ``signed_zeros=False``
+        and the pass is skipped. A ``g`` that is not C-contiguous (a slice
+        of a larger result) is copied once: closures write into the buffer
+        through reshapes, and a reshape of a strided array may be a copy.
         """
         if self.buffer is not None or g.shape != self.shape or g.dtype != self.dtype:
             self.grad += g
-        elif g.flags.c_contiguous:
-            g += 0.0
-            self.buffer = g
-        else:
+        elif not g.flags.c_contiguous:
             self.buffer = g + 0.0
+        else:
+            if signed_zeros:
+                g += 0.0
+            self.buffer = g
 
 
 class _Tracked:

@@ -312,6 +312,10 @@ def resample_record(record: Record, fs_out: float) -> Record:
     if fs_out == record.fs:
         return record
     scg = resample(record.scg, record.fs, fs_out)
+    if scg.size == 0:
+        raise ValidationError(
+            f"record {record.subject_id!r}: resampling from {record.fs} Hz to "
+            f"{fs_out} Hz leaves no samples")
     ecg = resample(record.ecg, record.fs, fs_out) if record.ecg is not None else None
     rpeaks = None
     if record.rpeaks is not None:

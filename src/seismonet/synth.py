@@ -25,8 +25,8 @@ ECG_SPIKE_S = 0.012
 
 @dataclass(frozen=True)
 class SynthParams:
-    fs: float
-    duration_s: float
+    fs: float = 250.0
+    duration_s: float = 60.0
     mean_hr_bpm: float = 70.0
     hr_jitter: float = 0.05
     scg_noise_sigma: float = 0.1

@@ -10,6 +10,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .errors import NumericError, ValidationError
+from .fieldcodec import at_least
 from .model import SeismoNet
 from .nn import SignalTensor, Tape, lr_schedule, sgd_step, smooth_l1_loss
 from .windows import DatasetSplit, Window
@@ -19,7 +20,7 @@ from .windows import DatasetSplit, Window
 class TrainConfig:
     epochs: int = 300
     lr0: float = 0.001
-    schedule_step: int = 100
+    schedule_step: int = field(default=100, metadata=at_least(1))
     schedule_factor: float = 10.0
     batch_size: int = 16
     seed: int = 0

@@ -9,6 +9,7 @@ import pytest
 
 import seismonet
 from conftest import first_dim_offset, first_name_last_byte, run_python, two_cpus
+from seismonet import cli
 from seismonet.cli import main
 from seismonet.records import load_record, write_record
 from seismonet.synth import SynthParams, synth_record
@@ -488,3 +489,24 @@ def test_subject_count_below_one_exits_one(workspace, capsys):
     assert main(["--config", str(config), "--set", "synth.subjects=-3", "synth"]) == 1
     assert "bad value for 'synth.subjects'" in capsys.readouterr().err
     assert not (tmp / "data").exists()
+
+
+def test_out_of_memory_exits_two_with_one_error_line(workspace, capsys, monkeypatch):
+    _, config = workspace
+
+    def oversized(cfg):
+        raise MemoryError("Unable to allocate 146. TiB for an array with shape (1,)")
+    monkeypatch.setattr(cli, "cmd_train", oversized)
+    assert run(config, "train") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "146. TiB" in err
+    assert err.count("\n") == 1
+
+
+def test_resampling_to_no_samples_exits_one(workspace, capsys):
+    tmp, config = workspace
+    assert run(config, "synth") == 0
+    assert main(["--config", str(config), "--set", "sampling.target_fs=1e-300", "hrv"]) == 1
+    err = capsys.readouterr().err
+    assert "record 'subject01': resampling from 50.0 Hz to 1e-300 Hz leaves no samples" in err
+    assert not (tmp / "out").exists()

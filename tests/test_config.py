@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seismonet.config import SCHEMA, RunConfig, load_config
+from seismonet.cli import synth_params
+from seismonet.config import (SCHEMA, SECTIONS, DatasetConfig, RunConfig, SamplingConfig,
+                               load_config)
 from seismonet.detect import ValleyParams
 from seismonet.errors import ConfigError
 from seismonet.fieldcodec import CODECS
@@ -23,7 +25,8 @@ def test_schedule_defaults_match_published_settings():
     assert cfg["eval.tol_ms"] == 90.0
     assert cfg["dataset.window_sec"] == 10.0
     assert cfg["dataset.hop_sec"] == 5.0
-    assert cfg.ratios() == (0.6, 0.2, 0.2)
+    ds = cfg.section(DatasetConfig)
+    assert (ds.train_ratio, ds.val_ratio, ds.test_ratio) == (0.6, 0.2, 0.2)
     assert cfg["model.levels"] == 5
     assert cfg["model.base_channels"] == 32
     assert cfg["model.conv_kernel"] == 3
@@ -70,12 +73,12 @@ def test_bool_parse_variants():
 
 def test_effective_fs_and_clip():
     cfg = RunConfig()
-    assert cfg.effective_fs() == 250.0
+    assert cfg.section(SamplingConfig).effective_fs == 250.0
     cfg.set("sampling.target_fs", "100")
-    assert cfg.effective_fs() == 100.0
-    assert cfg.dt_clip() is None
+    assert cfg.section(SamplingConfig).effective_fs == 100.0
+    assert cfg.section(DatasetConfig).dt_clip == 0.0
     cfg.set("dataset.dt_clip", "25")
-    assert cfg.dt_clip() == 25.0
+    assert cfg.section(DatasetConfig).dt_clip == 25.0
 
 
 def test_missing_file_raises():
@@ -98,8 +101,8 @@ def test_section_accessors_build_valid_objects():
     assert train_cfg.epochs == 300
     valley = cfg.section(ValleyParams)
     assert valley.refractory_ms == 200.0
-    synth0 = cfg.synth_params(0)
-    synth1 = cfg.synth_params(1)
+    synth0 = synth_params(cfg, 0)
+    synth1 = synth_params(cfg, 1)
     assert synth1.seed == synth0.seed + 1
     assert synth1.mean_hr_bpm != synth0.mean_hr_bpm
 
@@ -139,6 +142,7 @@ def test_run_config_keys_and_defaults_pinned():
     ("model.inception_kernels", "1,3,"),
     ("synth.subjects", "0"),
     ("synth.subjects", "-3"),
+    ("train.schedule_step", "0"),
 ])
 def test_malformed_value_names_key(key, raw):
     with pytest.raises(ConfigError, match=f"bad value for {key!r}"):
@@ -160,6 +164,12 @@ def test_readme_minimal_config_loads(tmp_path):
     cfg = load_config(path)
     assert cfg["model.levels"] == 3
     assert cfg.section(ModelConfig, input_len=200).base_channels == 8
+
+
+def test_readme_cli_section_names_every_config_section():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert [cls.__name__ for cls in SECTIONS if f"`{cls.__name__}`" not in cli_section] == []
 
 
 _LINE = st.tuples(st.sampled_from([*SCHEMA, "train.warmup", "model.input_len", ""]),

@@ -569,6 +569,50 @@ def test_conv_input_gradient_adopts_its_kernel_result(rng, transposed):
     assert x.grad.tobytes() == (np.zeros(x.shape, np.float32) + kernel).tobytes()
 
 
+def test_adopting_without_the_sign_pass_keeps_the_array_as_is():
+    g = np.array([[[-0.0, 0.0, 1.5]]], dtype=np.float32)
+    slot = GradSlot(g.shape, np.float32)
+    slot.add_owned(g, signed_zeros=False)
+    assert slot.buffer is g
+    assert np.signbit(slot.buffer[0, 0, 0])
+
+
+@pytest.mark.parametrize("kernel", ["input_grad_taps", "input_grad_columns", "forward_taps"])
+def test_zero_started_kernels_hold_no_negative_zero(rng, kernel):
+    # Every product is -0.0; a kernel that adds into np.zeros still gives +0.0.
+    out_ch = 128 if kernel == "input_grad_columns" else 4
+    w = np.full((out_ch, 5, 3), -0.0, np.float32)
+    if kernel == "forward_taps":
+        result = ops._corr_forward(np.abs(rng.normal(size=(2, 5, 11))).astype(np.float32),
+                                   w, 2, 1)
+    else:
+        dy = np.abs(rng.normal(size=(2, out_ch, 6))).astype(np.float32)
+        result = ops._corr_input_grad(dy, w, 2, 1, 11)
+    assert ops._use_columns(out_ch, 5) == (kernel == "input_grad_columns")
+    assert not np.signbit(result).any()
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("channels", [(3, 4), (5, 4), (4, 3), (4, 5)])
+def test_conv_input_gradient_is_zeros_plus_kernel_with_negative_zero_weights(
+        rng, transposed, channels):
+    # Both kernel families, forward and transposed: with -0.0 weights every
+    # product is -0.0, and the adopted gradient is still zeros + kernel.
+    in_ch, out_ch = channels
+    spec = ConvSpec(in_ch, out_ch, 3, 1, 1, transposed=transposed)
+    x = SignalTensor(rng.normal(size=(2, in_ch, 9)).astype(np.float32))
+    w = Parameter(np.full(spec.weight_shape, -0.0, np.float32))
+    tape = Tape()
+    y = (conv_transpose1d if transposed else conv1d)(
+        x, w, Parameter(np.zeros(out_ch, np.float32)), spec, tape)
+    dy = np.abs(rng.normal(size=y.shape)).astype(np.float32)
+    y.grad[...] = dy
+    tape.backward()
+    kernel = (ops._corr_forward(dy, w.values, 1, 1) if transposed
+              else ops._corr_input_grad(dy, w.values, 1, 1, 9))
+    assert x.grad.tobytes() == (np.zeros(x.shape, np.float32) + kernel).tobytes()
+
+
 def test_adopted_conv_gradient_takes_a_later_write_through_a_reshape(rng):
     # The conv's closure runs first and adopts its result as x's gradient;
     # resize_linear's closure then adds into that buffer through a reshape.

@@ -370,6 +370,14 @@ def test_resample_record_rescales_annotations():
     np.testing.assert_allclose(halved.rpeaks * 2, record.rpeaks, atol=2)
 
 
+def test_resample_record_to_no_samples_names_record_and_rates():
+    record = synth_record(SynthParams(fs=500.0, duration_s=6.0, seed=1), "rs")
+    with pytest.raises(ValidationError,
+                       match=r"record 'rs': resampling from 500.0 Hz to 1e-300 Hz "
+                             r"leaves no samples"):
+        resample_record(record, 1e-300)
+
+
 def test_annotator_recovers_clean_synthetic_peaks():
     record = synth_record(SynthParams(fs=250.0, duration_s=20.0, mean_hr_bpm=66.0,
                                       hr_jitter=0.05, scg_noise_sigma=0.0, seed=9), "a")
