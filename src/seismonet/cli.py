@@ -62,7 +62,7 @@ def _windows_split(cfg: RunConfig, records: list[Record]):
     windows = []
     for record in records:
         windows.extend(labeled_only(segment_windows(
-            record, ds.window_sec, ds.hop_sec, dt_clip=ds.dt_clip or None)))
+            record, ds.window_sec, ds.hop_sec, dt_clip=ds.clip)))
     return split_dataset(windows, (ds.train_ratio, ds.val_ratio, ds.test_ratio),
                          drop_boundary=ds.drop_boundary)
 
@@ -93,8 +93,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     train_cfg = cfg.section(TrainConfig)
-    records = _load_records(cfg)
-    split = _windows_split(cfg, records)
+    split = _windows_split(cfg, _load_records(cfg))
     if not split.train:
         raise InsufficientDataError("no labeled training windows")
     input_len = split.train[0].length
@@ -112,8 +111,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     model = load_checkpoint(cfg.section(PathsConfig).checkpoint_path)
-    records = _load_records(cfg)
-    split = _windows_split(cfg, records)
+    split = _windows_split(cfg, _load_records(cfg))
     if not split.test:
         raise InsufficientDataError("test split is empty")
     ev = cfg.section(EvalConfig)

@@ -51,6 +51,10 @@ class DatasetConfig:
     dt_clip: float = field(default=0.0, metadata=at_least(0))  # 0: no clip
     drop_boundary: bool = True
 
+    @property
+    def clip(self) -> float | None:
+        return self.dt_clip if self.dt_clip > 0 else None
+
 
 @dataclass(frozen=True)
 class EvalConfig:

@@ -161,6 +161,16 @@ def _use_columns(out_ch: int, in_ch: int) -> bool:
     return out_ch >= 128 or in_ch < 4
 
 
+def _may_hold_negative_zero(w: np.ndarray) -> bool:
+    """True when ``_corr_forward(x, w)`` may return -0.0.
+
+    Its column family copies GEMM results into ``np.empty``. Its per-tap
+    family, and both families of ``_corr_input_grad``, add into
+    ``np.zeros``, and +0.0 + (-0.0) is +0.0.
+    """
+    return _use_columns(*w.shape[:2])
+
+
 def _columns(x: np.ndarray, kernel: int, stride: int, padding: int,
              n_out: int) -> np.ndarray:
     """cols[(i, j), (b, l)] = xpad[b, i, s*l + j], shape (in*kernel, batch*n_out)."""
@@ -196,7 +206,7 @@ def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     dtype = np.result_type(x, w)
     if _use_columns(out_ch, in_ch):
         w_cols = w.reshape(out_ch, in_ch * kernel)
-        y = np.empty((b, out_ch, n_out), dtype=dtype)
+        y = np.empty((b, out_ch, n_out), dtype=dtype)  # see _may_hold_negative_zero
         pool = _gemm_pool(pool, w.size * (b // 2) * n_out, (b // 2) * n_out)
 
         def fill(b0, b1):
@@ -340,12 +350,10 @@ def _conv(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
         def backward():
             dy = ys.grad
             if xs.requires_grad:
-                # Of the kernels, only the column-family forward copies a GEMM
-                # result (which may hold -0.0); the others add into zeros.
                 xs.add_owned(
                     _corr_forward(dy, weight.values, stride, padding, pool) if transposed
                     else _corr_input_grad(dy, weight.values, stride, padding, in_len, pool),
-                    signed_zeros=transposed and _use_columns(*weight.shape[:2]))
+                    signed_zeros=transposed and _may_hold_negative_zero(weight.values))
             # the correlation's output gradient and input: (dy, x), swapped when transposed
             pair = (x_values, dy) if transposed else (dy, x_values)
             weight.grad += _corr_weight_grad(*pair, stride, padding, spec.kernel, pool)

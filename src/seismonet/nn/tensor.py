@@ -57,7 +57,7 @@ class GradSlot:
         # ``slot.grad += g`` reads the buffer, adds in place, then assigns it back.
         self.buffer = value
 
-    def add_owned(self, g: np.ndarray, signed_zeros: bool = True) -> None:
+    def add_owned(self, g: np.ndarray, *, signed_zeros: bool = True) -> None:
         """``grad += g`` for a fresh array ``g`` that nothing else holds.
 
         The first gradient adopts ``g`` as the buffer rather than adding it
@@ -65,7 +65,8 @@ class GradSlot:
         ``zeros + g``: it turns -0.0 into +0.0 and leaves every other value
         alone. A ``g`` built by ``+=`` into ``np.zeros`` holds no -0.0
         (+0.0 + -0.0 is +0.0), so its maker passes ``signed_zeros=False``
-        and the pass is skipped. A ``g`` that is not C-contiguous (a slice
+        and the pass is skipped; the default keeps the pass, which is right
+        for any ``g``. A ``g`` that is not C-contiguous (a slice
         of a larger result) is copied once: closures write into the buffer
         through reshapes, and a reshape of a strided array may be a copy.
         """

@@ -34,6 +34,9 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
             raise ValidationError(f"lr0 must be > 0, got {self.lr0}")
+        if self.schedule_step < 1:
+            # The at_least bound rejects it at parse time; this covers Python callers.
+            raise ValidationError(f"schedule_step must be >= 1, got {self.schedule_step}")
         if self.checkpoint_every < 0:
             # 0 turns periodic checkpoints off; a negative period would divide
             # every epoch number.

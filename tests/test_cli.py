@@ -510,3 +510,12 @@ def test_resampling_to_no_samples_exits_one(workspace, capsys):
     err = capsys.readouterr().err
     assert "record 'subject01': resampling from 50.0 Hz to 1e-300 Hz leaves no samples" in err
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("clip, expected", [("0", None), ("25", 25.0)])
+def test_training_windows_clip_only_when_dt_clip_is_positive(clip, expected):
+    cfg = cli.RunConfig()
+    cfg.set("dataset.dt_clip", clip)
+    record = synth_record(SynthParams(fs=50.0, duration_s=40.0), subject_id="s")
+    split = cli._windows_split(cfg, [record])
+    assert {w.dt_clip for w in (*split.train, *split.val, *split.test)} == {expected}

@@ -76,9 +76,9 @@ def test_effective_fs_and_clip():
     assert cfg.section(SamplingConfig).effective_fs == 250.0
     cfg.set("sampling.target_fs", "100")
     assert cfg.section(SamplingConfig).effective_fs == 100.0
-    assert cfg.section(DatasetConfig).dt_clip == 0.0
+    assert cfg.section(DatasetConfig).clip is None
     cfg.set("dataset.dt_clip", "25")
-    assert cfg.section(DatasetConfig).dt_clip == 25.0
+    assert cfg.section(DatasetConfig).clip == 25.0
 
 
 def test_missing_file_raises():

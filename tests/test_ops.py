@@ -589,6 +589,8 @@ def test_zero_started_kernels_hold_no_negative_zero(rng, kernel):
         dy = np.abs(rng.normal(size=(2, out_ch, 6))).astype(np.float32)
         result = ops._corr_input_grad(dy, w, 2, 1, 11)
     assert ops._use_columns(out_ch, 5) == (kernel == "input_grad_columns")
+    if kernel == "forward_taps":
+        assert not ops._may_hold_negative_zero(w)
     assert not np.signbit(result).any()
 
 

@@ -80,6 +80,11 @@ def test_unlabeled_window_rejected():
         train(tiny_model(), split, TrainConfig(epochs=1, checkpoint_every=0))
 
 
+def test_zero_schedule_step_rejected_when_built():
+    with pytest.raises(ValidationError, match="schedule_step must be >= 1, got 0"):
+        TrainConfig(schedule_step=0)
+
+
 def test_nonfinite_loss_aborts_with_context():
     split = tiny_split()
     model = tiny_model()
