@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RecordFormatError, ValidationError
+from .errors import ConfigError, RecordFormatError, ValidationError
 from .fieldcodec import formatter, parser
 from .model import ModelConfig, SeismoNet
 
@@ -40,15 +40,21 @@ def _parse_config_text(text: str, path: Path) -> tuple[ModelConfig, int]:
             raise RecordFormatError(f"{path}: malformed config line {line!r}")
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
+    key = "epoch"
     try:
-        epoch = int(values.pop("epoch", "0"))
-        config = ModelConfig(**{field.name: parser(field)(values[field.name])
-                                for field in fields(ModelConfig)})
-    except KeyError as exc:
-        raise RecordFormatError(f"{path}: config block missing field {exc}") from None
+        epoch = int(values.pop(key, "0"))
+        parsed = {}
+        for field in fields(ModelConfig):
+            key = field.name
+            parsed[key] = parser(field)(values[key])
+    except KeyError:
+        raise RecordFormatError(f"{path}: config block missing field {key!r}") from None
     except ValueError as exc:
-        raise RecordFormatError(f"{path}: bad config value: {exc}") from None
-    return config, epoch
+        raise RecordFormatError(f"{path}: bad config value for {key!r}: {exc}") from None
+    try:
+        return ModelConfig(**parsed), epoch
+    except ConfigError as exc:
+        raise RecordFormatError(f"{path}: bad config: {exc}") from None
 
 
 def _write_tensor(fh, name: str, values: np.ndarray) -> None:

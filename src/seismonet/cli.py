@@ -75,8 +75,10 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def synth_params(cfg: RunConfig, subject_index: int) -> SynthParams:
     # Slight per-subject rate offsets keep cross-subject statistics
-    # non-degenerate while staying fully seeded.
-    hr = min(cfg["synth.mean_hr_bpm"] + 2.0 * subject_index, 240.0)
+    # non-degenerate while staying fully seeded. The 240 bpm cap on the
+    # offset never takes a subject below the configured mean.
+    mean = cfg["synth.mean_hr_bpm"]
+    hr = max(mean, min(mean + 2.0 * subject_index, 240.0))
     return cfg.section(SynthParams, mean_hr_bpm=hr, seed=cfg["synth.seed"] + subject_index)
 
 

@@ -12,7 +12,7 @@ from typing import Any, Callable, TypeVar
 
 from .detect import ValleyParams
 from .errors import ConfigError
-from .fieldcodec import at_least, parser, settable
+from .fieldcodec import Bounded, bounded, parser, settable
 from .model import ModelConfig
 from .synth import SynthParams
 from .training import TrainConfig
@@ -32,9 +32,9 @@ class PathsConfig:
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
-    source_fs: float = 250.0
-    target_fs: float = field(default=0.0, metadata=at_least(0))  # 0: no resampling
+class SamplingConfig(Bounded):
+    source_fs: float = field(default=250.0, metadata=bounded(0, open_low=True))
+    target_fs: float = field(default=0.0, metadata=bounded(0))  # 0: no resampling
 
     @property
     def effective_fs(self) -> float:
@@ -42,13 +42,13 @@ class SamplingConfig:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    window_sec: float = 10.0
-    hop_sec: float = 5.0
-    train_ratio: float = 0.6
-    val_ratio: float = 0.2
-    test_ratio: float = 0.2
-    dt_clip: float = field(default=0.0, metadata=at_least(0))  # 0: no clip
+class DatasetConfig(Bounded):
+    window_sec: float = field(default=10.0, metadata=bounded(0, open_low=True))
+    hop_sec: float = field(default=5.0, metadata=bounded(0, open_low=True))
+    train_ratio: float = field(default=0.6, metadata=bounded(0, open_low=True))
+    val_ratio: float = field(default=0.2, metadata=bounded(0, open_low=True))
+    test_ratio: float = field(default=0.2, metadata=bounded(0, open_low=True))
+    dt_clip: float = field(default=0.0, metadata=bounded(0))  # 0: no clip
     drop_boundary: bool = True
 
     @property
@@ -57,14 +57,14 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    tol_ms: float = field(default=90.0, metadata=at_least(0))
+class EvalConfig(Bounded):
+    tol_ms: float = field(default=90.0, metadata=bounded(0))
     per_window: bool = False
 
 
 @dataclass(frozen=True)
-class SynthCohort:
-    subjects: int = field(default=3, metadata=at_least(1))
+class SynthCohort(Bounded):
+    subjects: int = field(default=3, metadata=bounded(1))
 
 
 # Each settable field of these dataclasses is the key <section>.<field>,

@@ -2,28 +2,21 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
+from .fieldcodec import Bounded, bounded
 
 
 @dataclass(frozen=True)
-class ValleyParams:
+class ValleyParams(Bounded):
     """Detector knobs; prominence is in the waveform's units (samples)."""
 
-    min_prominence: float = 0.0
-    refractory_ms: float = 200.0
-    smoothing: int = 0
-
-    def __post_init__(self):
-        if self.refractory_ms <= 0:
-            raise ValidationError(f"refractory_ms must be > 0, got {self.refractory_ms}")
-        if self.min_prominence < 0:
-            raise ValidationError(f"min_prominence must be >= 0, got {self.min_prominence}")
-        if self.smoothing < 0:
-            raise ValidationError(f"smoothing must be >= 0, got {self.smoothing}")
+    min_prominence: float = field(default=0.0, metadata=bounded(0))
+    refractory_ms: float = field(default=200.0, metadata=bounded(0, open_low=True))
+    smoothing: int = field(default=0, metadata=bounded(0))
 
 
 def detect_valleys(t_pred: np.ndarray, fs: float,

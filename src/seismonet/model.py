@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .fieldcodec import NOT_SETTABLE
+from .fieldcodec import NOT_SETTABLE, bounded, check_bounds
 from .nn import (
     BatchNormState,
     ConvSpec,
@@ -49,30 +49,23 @@ class ModelConfig:
     contracting block's channel doubling lands exactly on base_channels.
     """
 
-    input_len: int = field(metadata=NOT_SETTABLE)
-    levels: int = 5
+    input_len: int = field(metadata={**NOT_SETTABLE, **bounded(1)})
+    levels: int = field(default=5, metadata=bounded(1))
     base_channels: int = 32
     conv_kernel: int = 3
     down_kernel: int = 5
     up_kernel: int = 5
-    down_stride: int = 2
+    down_stride: int = field(default=2, metadata=bounded(1))
     entry_channels: int | None = field(default=None, metadata=NOT_SETTABLE)
     entry_kernel: int = 7
     inception_kernels: tuple[int, ...] = (1, 3, 5)
-    leaky_slope: float = 0.01
+    leaky_slope: float = field(default=0.01, metadata=bounded(0))
     bn_momentum: float = field(default=0.1, metadata=NOT_SETTABLE)
     bn_eps: float = field(default=1e-5, metadata=NOT_SETTABLE)
 
     def __post_init__(self):
         object.__setattr__(self, "inception_kernels", tuple(self.inception_kernels))
-        self.validate()
-        object.__setattr__(self, "entry_channels", self.resolved_entry_channels)
-
-    def validate(self) -> None:
-        if self.levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if self.input_len < 1:
-            raise ConfigError(f"input_len must be >= 1, got {self.input_len}")
+        check_bounds(self, ConfigError)
         if self.base_channels % 4 != 0 or self.base_channels < 4:
             # /4 keeps every decoder stage an integer channel count.
             raise ConfigError(
@@ -87,10 +80,6 @@ class ModelConfig:
                   self.entry_kernel, *self.inception_kernels):
             if k < 1 or k % 2 == 0:
                 raise ConfigError(f"kernel sizes must be odd and positive, got {k}")
-        if self.down_stride < 1:
-            raise ConfigError(f"down_stride must be >= 1, got {self.down_stride}")
-        if self.resolved_entry_channels < 1:
-            raise ConfigError("entry channel count must be >= 1")
         if self.entry_channels is not None and self.entry_channels * 2 != self.base_channels:
             raise ConfigError(
                 f"entry_channels {self.entry_channels} must be base_channels/2 "
@@ -99,6 +88,7 @@ class ModelConfig:
             raise ConfigError(
                 f"bottleneck length {self.encoder_lengths()[-1]} < 4; "
                 f"increase input_len or reduce levels/stride")
+        object.__setattr__(self, "entry_channels", self.resolved_entry_channels)
 
     @property
     def resolved_entry_channels(self) -> int:
@@ -315,7 +305,6 @@ class SeismoNet:
     """
 
     def __init__(self, config: ModelConfig, dtype=DEFAULT_DTYPE):
-        config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params = ParamStore()
@@ -416,8 +405,6 @@ class SeismoNet:
 
         half = len(x) // 2
         pool = second_core() if half * self._window_work >= SPLIT_MIN_WORK else None
-        if pool is None:
-            return self.forward(SignalTensor(x), tape=None, training=False).values
         out = np.empty((len(x), 1, self.config.input_len), dtype=self.dtype)
         run_halves(pool, fill, len(x))
         return out

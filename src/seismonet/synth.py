@@ -8,11 +8,11 @@ fixed seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .fieldcodec import Bounded, bounded
 from .records import Record
 
 # Burst shape constants; amplitudes are arbitrary units.
@@ -24,27 +24,14 @@ ECG_SPIKE_S = 0.012
 
 
 @dataclass(frozen=True)
-class SynthParams:
-    fs: float = 250.0
-    duration_s: float = 60.0
-    mean_hr_bpm: float = 70.0
-    hr_jitter: float = 0.05
-    scg_noise_sigma: float = 0.1
+class SynthParams(Bounded):
+    fs: float = field(default=250.0, metadata=bounded(0, open_low=True))
+    duration_s: float = field(default=60.0, metadata=bounded(0, open_low=True))
+    mean_hr_bpm: float = field(default=70.0,
+                               metadata=bounded(20, 250, open_low=True, open_high=True))
+    hr_jitter: float = field(default=0.05, metadata=bounded(0, 1, open_high=True))
+    scg_noise_sigma: float = field(default=0.1, metadata=bounded(0))
     seed: int = 0
-
-    def __post_init__(self):
-        if self.fs <= 0:
-            raise ValidationError(f"fs must be > 0, got {self.fs}")
-        if self.duration_s <= 0:
-            raise ValidationError(f"duration_s must be > 0, got {self.duration_s}")
-        if not 20 < self.mean_hr_bpm < 250:
-            raise ValidationError(
-                f"mean_hr_bpm must be in (20, 250), got {self.mean_hr_bpm}")
-        if not 0 <= self.hr_jitter < 1:
-            raise ValidationError(f"hr_jitter must be in [0, 1), got {self.hr_jitter}")
-        if self.scg_noise_sigma < 0:
-            raise ValidationError(
-                f"scg_noise_sigma must be >= 0, got {self.scg_noise_sigma}")
 
 
 def synth_record(params: SynthParams, subject_id: str = "synth") -> Record:

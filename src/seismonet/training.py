@@ -10,38 +10,22 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .errors import NumericError, ValidationError
-from .fieldcodec import at_least
+from .fieldcodec import Bounded, bounded
 from .model import SeismoNet
 from .nn import SignalTensor, Tape, lr_schedule, sgd_step, smooth_l1_loss
 from .windows import DatasetSplit, Window
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 300
-    lr0: float = 0.001
-    schedule_step: int = field(default=100, metadata=at_least(1))
-    schedule_factor: float = 10.0
-    batch_size: int = 16
+class TrainConfig(Bounded):
+    epochs: int = field(default=300, metadata=bounded(1))
+    lr0: float = field(default=0.001, metadata=bounded(0, open_low=True))
+    schedule_step: int = field(default=100, metadata=bounded(1))
+    schedule_factor: float = field(default=10.0, metadata=bounded(1, open_low=True))
+    batch_size: int = field(default=16, metadata=bounded(1))
     seed: int = 0
     shuffle: bool = True
-    checkpoint_every: int = 100
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr0 <= 0:
-            raise ValidationError(f"lr0 must be > 0, got {self.lr0}")
-        if self.schedule_step < 1:
-            # The at_least bound rejects it at parse time; this covers Python callers.
-            raise ValidationError(f"schedule_step must be >= 1, got {self.schedule_step}")
-        if self.checkpoint_every < 0:
-            # 0 turns periodic checkpoints off; a negative period would divide
-            # every epoch number.
-            raise ValidationError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+    checkpoint_every: int = field(default=100, metadata=bounded(0))  # 0: none
 
 
 @dataclass

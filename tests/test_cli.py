@@ -10,7 +10,10 @@ import pytest
 import seismonet
 from conftest import first_dim_offset, first_name_last_byte, run_python, two_cpus
 from seismonet import cli
+from seismonet.checkpoint import save_checkpoint
 from seismonet.cli import main
+from seismonet.config import load_config
+from seismonet.model import ModelConfig, build_model
 from seismonet.records import load_record, write_record
 from seismonet.synth import SynthParams, synth_record
 
@@ -269,7 +272,8 @@ def test_negative_checkpoint_period_exits_one(workspace, capsys):
     assert run(config, "synth") == 0
     assert main(["--config", str(config), "--set", "train.checkpoint_every=-1",
                  "train"]) == 1
-    assert "checkpoint_every must be >= 0, got -1" in capsys.readouterr().err
+    assert ("bad value for 'train.checkpoint_every': must be >= 0, got -1"
+            in capsys.readouterr().err)
     assert not (tmp / "out").exists()
 
 
@@ -448,6 +452,24 @@ def test_corrupted_checkpoint_dim_exits_one(workspace, capsys):
     assert "has shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, bad, message", [
+    ("levels=3", "levels=0", "bad config value for 'levels': must be >= 1, got 0"),
+    ("base_channels=8", "base_channels=6",
+     "bad config: base_channels must be a positive multiple of 4, got 6"),
+])
+def test_out_of_range_checkpoint_config_names_file_and_field(tmp_path, capsys, line, bad,
+                                                             message):
+    path = tmp_path / "desk.smn"
+    save_checkpoint(build_model(ModelConfig(input_len=200, levels=3, base_channels=8)), path)
+    data = path.read_bytes()
+    # Same byte length, so the config block's length prefix stays right.
+    assert data.count(f"\n{line}\n".encode()) == 1 and len(line) == len(bad)
+    path.write_bytes(data.replace(f"\n{line}\n".encode(), f"\n{bad}\n".encode()))
+    assert main(["--set", f"paths.checkpoint={path}",
+                 "--set", f"paths.data_dir={tmp_path / 'data'}", "eval"]) == 1
+    assert f"error: {path}: {message}\n" == capsys.readouterr().err
+
+
 def test_non_utf8_checkpoint_name_exits_one(workspace, capsys):
     tmp, config = workspace
     run(config, "synth")
@@ -488,6 +510,45 @@ def test_subject_count_below_one_exits_one(workspace, capsys):
     tmp, config = workspace
     assert main(["--config", str(config), "--set", "synth.subjects=-3", "synth"]) == 1
     assert "bad value for 'synth.subjects'" in capsys.readouterr().err
+    assert not (tmp / "data").exists()
+
+
+@pytest.mark.parametrize("setting, command", [
+    ("train.schedule_factor=1", "train"),
+    ("model.leaky_slope=-1", "train"),
+    ("eval.refractory_ms=0", "eval"),
+    ("train.epochs=0", "train"),
+    ("sampling.source_fs=0", "train"),
+    ("dataset.train_ratio=0", "train"),
+])
+def test_out_of_range_value_exits_one_before_records_are_read(workspace, capsys,
+                                                               setting, command):
+    tmp, config = workspace
+    # No records exist: reading them would fail with a different error.
+    assert main(["--config", str(config), "--set", setting, command]) == 1
+    key = setting.split("=")[0]
+    assert f"bad value for {key!r}: must be " in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+def test_out_of_range_value_in_config_file_names_key_and_line(workspace, capsys):
+    tmp, config = workspace
+    config.write_text(config.read_text() + "train.schedule_factor = 0.5\n")
+    lineno = len(config.read_text().splitlines())
+    assert run(config, "train") == 1
+    assert (f"{config}:{lineno}: bad value for 'train.schedule_factor': "
+            f"must be > 1, got 0.5" in capsys.readouterr().err)
+
+
+def test_synth_rate_never_below_configured_mean(workspace, capsys):
+    tmp, config = workspace
+    cfg = load_config(config)
+    assert [cli.synth_params(cfg, i).mean_hr_bpm for i in range(3)] == [70.0, 72.0, 74.0]
+    cfg.set("synth.mean_hr_bpm", "245")
+    assert [cli.synth_params(cfg, i).mean_hr_bpm for i in range(3)] == [245.0] * 3
+    assert main(["--config", str(config), "--set", "synth.mean_hr_bpm=300", "synth"]) == 1
+    assert ("bad value for 'synth.mean_hr_bpm': must be in (20, 250), got 300.0"
+            in capsys.readouterr().err)
     assert not (tmp / "data").exists()
 
 

@@ -1,5 +1,7 @@
 """Run-configuration schema, parsing, and defaults."""
+import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,8 @@ from seismonet.cli import synth_params
 from seismonet.config import (SCHEMA, SECTIONS, DatasetConfig, RunConfig, SamplingConfig,
                                load_config)
 from seismonet.detect import ValleyParams
-from seismonet.errors import ConfigError
-from seismonet.fieldcodec import CODECS
+from seismonet.errors import ConfigError, ValidationError
+from seismonet.fieldcodec import CODECS, Bound, settable
 from seismonet.model import ModelConfig
 from seismonet.training import TrainConfig
 
@@ -143,10 +145,61 @@ def test_run_config_keys_and_defaults_pinned():
     ("synth.subjects", "0"),
     ("synth.subjects", "-3"),
     ("train.schedule_step", "0"),
+    ("train.schedule_factor", "1"),
+    ("model.leaky_slope", "-1"),
+    ("eval.refractory_ms", "0"),
+    ("train.epochs", "0"),
+    ("sampling.source_fs", "0"),
+    ("dataset.train_ratio", "0"),
 ])
 def test_malformed_value_names_key(key, raw):
     with pytest.raises(ConfigError, match=f"bad value for {key!r}"):
         RunConfig().set(key, raw)
+
+
+def test_one_bound_kind_formats_every_range():
+    assert [str(bound) for bound in (Bound(1), Bound(0, open_low=True),
+                                     Bound(20, 250, open_low=True, open_high=True),
+                                     Bound(0, 1, open_high=True))] == [
+        ">= 1", "> 0", "in (20, 250)", "in [0, 1)"]
+
+
+def _outside(bound):
+    """Values just outside ``bound``: at or below its low end, at or above a finite high."""
+    values = [bound.low if bound.open_low else bound.low - 1]
+    if math.isfinite(bound.high):
+        values.append(bound.high if bound.open_high else bound.high + 1)
+    return values
+
+
+_BOUNDED = [(cls, f, value) for cls in SECTIONS for f in filter(settable, fields(cls))
+            if "bound" in f.metadata for value in _outside(f.metadata["bound"])]
+
+
+@pytest.mark.parametrize("cls, f, value", _BOUNDED,
+                         ids=[f"{SECTIONS[cls]}.{f.name}={value}" for cls, f, value in _BOUNDED])
+def test_every_bound_checked_when_parsed_and_when_built(cls, f, value):
+    key = f"{SECTIONS[cls]}.{f.name}"
+    assert f.default in f.metadata["bound"]
+    with pytest.raises(ConfigError, match=re.escape(f"bad value for {key!r}: must be ")):
+        RunConfig().set(key, str(value))
+    error = ConfigError if cls is ModelConfig else ValidationError
+    required = {"input_len": 200} if cls is ModelConfig else {}
+    with pytest.raises(error, match=f"^{f.name} must be .*, got {value}$"):
+        cls(**required, **{f.name: value})
+
+
+_FLOAT_BOUNDED = [(cls, f) for cls in SECTIONS for f in fields(cls)
+                  if "bound" in f.metadata and f.type == "float"]
+
+
+@pytest.mark.parametrize("cls, f", _FLOAT_BOUNDED,
+                         ids=[f"{cls.__name__}.{f.name}" for cls, f in _FLOAT_BOUNDED])
+def test_nan_rejected_when_built(cls, f):
+    error = ConfigError if cls is ModelConfig else ValidationError
+    required = {"input_len": 200} if cls is ModelConfig else {}
+    with pytest.raises(error, match=f"^{f.name} must be .*, got nan$"):
+        cls(**required, **{f.name: math.nan})
 
 
 def test_non_utf8_config_file(tmp_path):

@@ -195,6 +195,7 @@ def test_forward_wrong_channels_rejected():
     (dict(input_len=64, levels=2, base_channels=8, conv_kernel=4), "odd"),
     (dict(input_len=64, levels=2, base_channels=8, inception_kernels=()), "non-empty"),
     (dict(input_len=64, levels=2, base_channels=8, entry_channels=3), "entry_channels"),
+    (dict(input_len=0), "input_len must be >= 1, got 0"),
 ])
 def test_config_validation_names_constraint(kwargs, match):
     with pytest.raises(ConfigError, match=match):

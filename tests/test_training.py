@@ -85,6 +85,11 @@ def test_zero_schedule_step_rejected_when_built():
         TrainConfig(schedule_step=0)
 
 
+def test_negative_checkpoint_period_rejected_when_built():
+    with pytest.raises(ValidationError, match="checkpoint_every must be >= 0, got -1"):
+        TrainConfig(checkpoint_every=-1)
+
+
 def test_nonfinite_loss_aborts_with_context():
     split = tiny_split()
     model = tiny_model()
