@@ -53,7 +53,7 @@ weight values x the longer length reaches ``SPLIT_MIN_MACS``. The forward
 and the input gradient split the batch, both halves writing into one
 output. The per-tap weight gradient fills per-window partials
 (tap, b, out, in), one batch half per thread, then sums each tap over the
-batch as one thread would; the column weight gradient splits its GEMM by
+batch on the calling thread; the column weight gradient splits its GEMM by
 output-channel rows. Per-tap GEMMs are per window, so a batch split runs
 the same GEMM calls; a column GEMM cut along N or M sums every output
 element in the same order (Goto & van de Geijn, ACM TOMS 2008) unless a
@@ -269,26 +269,16 @@ def _corr_weight_grad(dy: np.ndarray, x: np.ndarray, stride: int, padding: int,
         run_halves(pool, fill, out_ch)
         return dw.reshape(out_ch, in_ch, kernel)
     taps = _taps(kernel, stride, padding, in_len, n_out)
-
-    def operands(b0, b1):
-        """(j, dy_j, xt_j) per tap, for windows [b0, b1): dw_j sums dy_j @ xt_j."""
-        phases = _phases(x[b0:b1], stride)
-        for j, r, q, lo, hi in taps:
-            yield j, dy[b0:b1, :, lo:hi], phases[r][:, :, lo + q:hi + q].transpose(0, 2, 1)
-
-    dw = np.zeros((out_ch, in_ch, kernel), dtype=dtype)
-    if pool is None or b < 2:
-        for j, dy_j, xt_j in operands(0, b):
-            dw[:, :, j] = (dy_j @ xt_j).sum(axis=0)
-        return dw
-    # per-window partials of each tap, one batch half per thread, then the
-    # same sum over the batch as above
+    # per-window partials of each tap, a batch half per thread, then a sum per tap
     partials = np.empty((len(taps), b, out_ch, in_ch), dtype=dtype)
 
     def fill(b0, b1):
-        for t, (_, dy_j, xt_j) in enumerate(operands(b0, b1)):
-            np.matmul(dy_j, xt_j, out=partials[t, b0:b1])
+        phases = _phases(x[b0:b1], stride)
+        for t, (_, r, q, lo, hi) in enumerate(taps):
+            np.matmul(dy[b0:b1, :, lo:hi], phases[r][:, :, lo + q:hi + q].transpose(0, 2, 1),
+                      out=partials[t, b0:b1])
     run_halves(pool, fill, b)
+    dw = np.zeros((out_ch, in_ch, kernel), dtype=dtype)
     for t, (j, *_) in enumerate(taps):
         dw[:, :, j] = partials[t].sum(axis=0)
     return dw

@@ -8,14 +8,18 @@ the three kernels splits its batch, or a weight gradient its output rows;
 see ``nn.ops``). Either split only shortens a GEMM's N or M dimension,
 which leaves every output element's summation order, and so its bits,
 unchanged, as long as each half stays a blocked GEMM (``nn.ops``
-explains the small-matrix exception). The pool exists only where that
-can help:
+explains the small-matrix exception).
 
-- the process may run on at least two CPUs (``os.sched_getaffinity``);
-- BLAS is declared single-threaded in the environment: the first of
-  ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is set reads 1, as
-  OpenBLAS itself resolves them. A multi-threaded BLAS already uses the
-  cores, and two batch halves on top of it ran slower than one batch.
+Importing this module, and so seismonet, sets numpy's bundled OpenBLAS to
+one thread for the whole process (its ``scipy_openblas_set_num_threads64_``),
+before the package's first GEMM and whatever ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` say. OpenBLAS's thread count changes a GEMM's summation
+order, so a run gives one set of bits per platform. The pool exists exactly
+when the process may run on at least two CPUs (``os.sched_getaffinity``)
+and the pin succeeded. Where numpy carries another BLAS, nothing is pinned
+and no pool is made: two batch halves on top of a multi-threaded BLAS ran
+slower than one batch. A process given more than two CPUs gives up the BLAS
+threads it would have run beyond the second core.
 
 The decision is made once per process, on first use, and no thread exists
 before then. A forked child decides afresh rather than inherit a pool whose
@@ -30,10 +34,10 @@ the peak RSS of scoring a long record by about 9 %.
 """
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 M_ARENA_MAX = -8  # glibc's mallopt parameter number
 
 # One pool per process: it stands for the process's second core.
@@ -43,13 +47,21 @@ _lock = threading.Lock()
 _thread = threading.local()  # ``on_worker`` is set on the pool's worker thread
 
 
-def blas_single_threaded() -> bool:
-    """True when the environment pins BLAS to one thread."""
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value:
-            return value == "1"
-    return False
+def _pin_blas() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; False where numpy has none."""
+    try:
+        from numpy._core import _multiarray_umath
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):  # an older numpy, or another BLAS
+        return False
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = None
+    set_threads(1)
+    return True
+
+
+# At import: before the package's first GEMM, in one-CPU processes too.
+_blas_pinned = _pin_blas()
 
 
 def _cpus() -> int:
@@ -59,8 +71,6 @@ def _cpus() -> int:
 
 
 def _cap_malloc_arenas() -> None:
-    import ctypes
-
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError):  # not glibc
@@ -84,7 +94,7 @@ def second_core():
         with _lock:  # two first callers must not both make a pool
             if _owner_pid != pid:
                 _executor = None
-                if _cpus() >= 2 and blas_single_threaded():
+                if _blas_pinned and _cpus() >= 2:
                     from concurrent.futures import ThreadPoolExecutor
 
                     _cap_malloc_arenas()

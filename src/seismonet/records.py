@@ -77,6 +77,8 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
     time column that does not strictly increase.
     """
     path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"record file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()

@@ -23,19 +23,24 @@ two_cpus = pytest.mark.skipif(
 ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
 
 
-def run_python(code: str, *args, one_cpu: bool = False) -> str:
+def run_python(code: str, *args, one_cpu: bool = False,
+               env: dict[str, str | None] | None = None) -> str:
     """Run ``code`` in a fresh interpreter and return its stdout.
 
-    The child imports seismonet from this checkout with BLAS pinned to one
-    thread, so inference may use the second core. With ``one_cpu`` the
-    child pins itself to one CPU before anything else runs, which keeps
-    every batch on the calling thread.
+    The child imports seismonet from this checkout, in this process's
+    environment with ``env``'s variables set, or removed where the value is
+    None. With ``one_cpu`` the child pins itself to one CPU before anything
+    else runs, which keeps every batch on the calling thread.
     """
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+    child_env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    for var, value in (env or {}).items():
+        child_env.pop(var, None)
+        if value is not None:
+            child_env[var] = value
     done = subprocess.run([sys.executable, "-c", (ONE_CPU if one_cpu else "") + code,
                            *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=child_env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

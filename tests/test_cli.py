@@ -370,6 +370,31 @@ def test_infer_short_record_reports_empty(workspace, tmp_path, capsys):
     assert "nothing to infer" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+def test_infer_of_missing_or_directory_record_exits_one_naming_it(workspace, tmp_path,
+                                                                  capsys, make):
+    _, config = workspace
+    run(config, "synth")
+    run(config, "train", "--epochs", "1")
+    record = tmp_path / "x.csv"
+    make(record)
+    capsys.readouterr()
+    assert run(config, "infer", str(record)) == 1
+    assert capsys.readouterr().err == f"error: record file not found: {record}\n"
+
+
+@pytest.mark.parametrize("command", ["hrv", "train", "eval"])
+def test_directory_named_like_a_record_exits_one_naming_it(workspace, capsys, command):
+    tmp, config = workspace
+    run(config, "synth")
+    run(config, "train", "--epochs", "1")  # eval needs a checkpoint
+    directory = tmp / "data" / "x.csv"
+    directory.mkdir()
+    capsys.readouterr()
+    assert run(config, command) == 1
+    assert capsys.readouterr().err == f"error: record file not found: {directory}\n"
+
+
 def test_non_finite_record_sample_exits_one(workspace, capsys):
     tmp, config = workspace
     run(config, "synth")

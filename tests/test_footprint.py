@@ -50,8 +50,8 @@ def test_scipy_signal_loads_only_for_the_prominence_floor(tmp_path, min_prominen
 
 
 def test_import_and_small_model_inference_start_no_thread():
-    # BLAS is pinned to one thread here, so only the size floor keeps the
-    # desk net's batches on the calling thread.
+    # Importing seismonet pins BLAS to one thread and starts no pool, so
+    # only the size floor keeps the desk net's batches on the calling thread.
     threads = run_python("""
 import threading
 import seismonet

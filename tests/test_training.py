@@ -228,3 +228,20 @@ def test_benchmark_traced_names_run_in_a_taped_step(monkeypatch):
     missing = [n for n in (*model_ops, "smooth_l1_loss", "sgd_step") if not calls[n]]
     assert missing == []
     assert calls["sgd_step"] == 1
+
+
+def test_benchmark_tracer_runs_a_taped_step_and_a_prediction():
+    # The tracer charges every recorded backward to the op being traced, so a
+    # taped op called outside the traced names fails the benchmark's traced run.
+    tracing = _benchmark_tracing()
+    split = tiny_split(fs=100.0)
+    split = DatasetSplit(train=split.train[:4], val=[], test=[])
+    model = build_model(ModelConfig(input_len=200, levels=3, base_channels=8), seed=0)
+    tracer = tracing.Tracer()
+    base = tracer.snapshot()
+    with tracer.active():
+        seismonet.training.train(model, split,
+                                 TrainConfig(epochs=1, batch_size=4, checkpoint_every=0))
+        model.predict(np.zeros((4, 200)))
+    assert tracer.metrics(base, 1, 0.0, 0.0)["nn.op_calls"] > 0
+    assert len(tracer.steps) == 1

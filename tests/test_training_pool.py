@@ -178,10 +178,16 @@ def test_split_kernels_give_the_one_thread_bytes_on_every_model_shape():
 
 @two_cpus
 def test_paper_default_step_gradients_are_the_one_cpu_bytes():
-    split = run_python(PAPER_STEP).splitlines()
-    single = run_python(PAPER_STEP, one_cpu=True).splitlines()
-    assert (split[1], single[1]) == ("threads 2", "threads 1")
-    assert split[0] == single[0]
+    # seismonet pins numpy's OpenBLAS to one thread itself, so neither the
+    # thread variables nor the CPU count change a bit, and two CPUs always
+    # get the pool.
+    unset = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    single = run_python(PAPER_STEP, one_cpu=True, env=unset).splitlines()
+    assert single[1] == "threads 1"
+    for setting in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "1"},
+                    {"OPENBLAS_NUM_THREADS": "2"}):
+        split = run_python(PAPER_STEP, env={**unset, **setting}).splitlines()
+        assert split == [single[0], "threads 2"], setting
 
 
 @two_cpus
