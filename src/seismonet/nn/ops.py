@@ -47,20 +47,30 @@ rank 1, where one rank-k GEMM is several times faster. On the narrow
 layers the column copy costs more than the GEMMs it feeds (the o=10, i=32,
 k=5 weight gradient at length 1250, batch 16, takes about 3.5x as long).
 
-A taped convolution (a training step's) runs each kernel over two cores
-when the one-worker pool in ``nn.pool`` is available and half the batch x
-weight values x the longer length reaches ``SPLIT_MIN_MACS``. The forward
-and the input gradient split the batch, both halves writing into one
-output. The per-tap weight gradient fills per-window partials
-(tap, b, out, in), one batch half per thread, then sums each tap over the
-batch on the calling thread; the column weight gradient splits its GEMM by
-output-channel rows. Per-tap GEMMs are per window, so a batch split runs
-the same GEMM calls; a column GEMM cut along N or M sums every output
-element in the same order (Goto & van de Geijn, ACM TOMS 2008) unless a
-half falls to a small-matrix or GEMV path (``SMALL_GEMM_MACS``). So the
-split leaves every bit as on one thread. An untaped forward never splits
-here: ``SeismoNet.predict`` splits whole batches instead. Gradient
-accumulation stays on the calling thread.
+A taped convolution (a training step's) uses the one-worker pool in
+``nn.pool`` when it is available and half the batch x weight values x the
+longer length reaches ``SPLIT_MIN_MACS``. Its forward and input-gradient
+kernels split the batch, both halves writing into one output; a half that
+the worker has not started when the calling thread is free runs on the
+calling thread (``run_halves``), so a split never waits behind queued jobs.
+Its backward computes the input gradient first, then hands the weight and
+bias gradients to the worker as one job (``Tape.defer``): nothing later in
+the backward reads them, so the calling thread goes on at once with the
+rest of the chain. A job calls only the kernels and ``GradSlot.add_owned``,
+never an op or the tape. The backward builds its column operands one tap at
+a time, so the worker's and the calling thread's temporaries stay small
+together: the weight gradient builds the (in, batch*n) columns of tap j and
+does dw[:, :, j] = dy(o, b*n) @ cols_j^T, the input gradient does dcols_j =
+W_j^T @ dy(o, b*n), and the per-tap weight gradient fills one tap's
+per-window partials (b, out, in) at a time. The forward keeps its one GEMM,
+which is faster.
+
+None of this changes a bit. Per-tap GEMMs are per window, so a batch split
+runs the same GEMM calls. A column GEMM cut along N or M, by batch half or
+by tap, sums every output element in the same order (Goto & van de Geijn,
+ACM TOMS 2008) unless a part falls to a small-matrix or GEMV path
+(``SMALL_GEMM_MACS``); such a GEMM stays whole. An untaped forward never
+splits here: ``SeismoNet.predict`` splits whole batches instead.
 
 Weight layouts: (out_ch, in_ch, kernel) for ``conv1d`` and
 (in_ch, out_ch, kernel) for ``conv_transpose1d``, so a shared buffer makes
@@ -77,15 +87,15 @@ from ..errors import ValidationError
 from .pool import run_halves, second_core
 from .tensor import Parameter, SignalTensor, Tape
 
-# The smallest half of a taped convolution that splits onto a second core,
-# in multiply-adds: half the batch x weight values x the longer of the input
-# and output lengths.
+# The smallest taped convolution that uses the second core, in multiply-adds:
+# half the batch x weight values x the longer of the input and output
+# lengths.
 SPLIT_MIN_MACS = 3e7
 # OpenBLAS computes a GEMM of at most 100**3 multiply-adds in a small-matrix
 # kernel (single precision, AVX-512 builds), and numpy computes a product
 # with a one-row or one-column operand as a GEMV. Both sum in another order
-# than the blocked GEMM, so a column-family GEMM splits only when each half
-# stays above the one and clear of the other.
+# than the blocked GEMM, so a column-family GEMM is cut, in batch halves or
+# by tap, only when each part stays above the one and clear of the other.
 SMALL_GEMM_MACS = 100 ** 3
 
 
@@ -171,16 +181,29 @@ def _may_hold_negative_zero(w: np.ndarray) -> bool:
     return _use_columns(*w.shape[:2])
 
 
+def _tap_source(x: np.ndarray, stride: int, r: int, q: int, lo: int, hi: int) -> np.ndarray:
+    """What outputs [lo, hi) of tap (r, q) read, as an (in, batch, hi - lo) view."""
+    start = stride * (lo + q) + r
+    return x[:, :, start:start + stride * (hi - lo - 1) + 1:stride].transpose(1, 0, 2)
+
+
 def _columns(x: np.ndarray, kernel: int, stride: int, padding: int,
              n_out: int) -> np.ndarray:
     """cols[(i, j), (b, l)] = xpad[b, i, s*l + j], shape (in*kernel, batch*n_out)."""
     b, in_ch, in_len = x.shape
     cols = np.zeros((in_ch, kernel, b, n_out), dtype=x.dtype)
     for j, r, q, lo, hi in _taps(kernel, stride, padding, in_len, n_out):
-        start = stride * (lo + q) + r
-        src = x[:, :, start:start + stride * (hi - lo - 1) + 1:stride]
-        cols[:, j, :, lo:hi] = src.transpose(1, 0, 2)
+        cols[:, j, :, lo:hi] = _tap_source(x, stride, r, q, lo, hi)
     return cols.reshape(in_ch * kernel, b * n_out)
+
+
+def _blocked_gemm(m: int, k: int, n: int) -> bool:
+    """True when an (m, k) @ (k, n) product runs as a blocked GEMM.
+
+    A GEMM cut along M or N into such products gives every output element
+    the bits of the whole one.
+    """
+    return m * k * n > SMALL_GEMM_MACS and min(m, k, n) >= 2
 
 
 def _gemm_pool(pool, half_macs: int, half_len: int):
@@ -225,14 +248,31 @@ def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
 
 
 def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                     input_len: int, pool=None) -> np.ndarray:
+                     input_len: int, pool=None, by_tap: bool = False) -> np.ndarray:
+    """The correlation's input gradient; also a transposed convolution's forward.
+
+    ``by_tap``, the backward's choice, runs the column family's GEMM one
+    tap's rows at a time: an M-split with the same bits, which holds an
+    (in, batch*n) block of ``dcols`` rather than all in*k rows. The
+    forward keeps the one GEMM, which is faster.
+    """
     b, _, n_out = dy.shape
     out_ch, in_ch, kernel = w.shape
     # dx[:, :, r + stride*t] is dxp[:, :, t, r]: phase r is a strided view.
     phase_len = -(-input_len // stride)
     dxp = np.zeros((b, in_ch, phase_len, stride), dtype=np.result_type(dy, w))
     taps = _taps(kernel, stride, padding, input_len, n_out)
-    if _use_columns(out_ch, in_ch):
+    columns = _use_columns(out_ch, in_ch)
+    if columns and by_tap and _blocked_gemm(in_ch, out_ch, b * n_out):
+        w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (kernel, out, in)
+        pool = _gemm_pool(pool, in_ch * out_ch * (b // 2) * n_out, (b // 2) * n_out)
+
+        def fill(b0, b1):
+            dy_cols, part = _fold(dy[b0:b1]), dxp[b0:b1]
+            for j, r, q, lo, hi in taps:
+                dcols = (w_taps[j].T @ dy_cols).reshape(in_ch, b1 - b0, n_out)
+                part[:, :, lo + q:hi + q, r] += dcols.transpose(1, 0, 2)[:, :, lo:hi]
+    elif columns:
         w_cols_t = w.reshape(out_ch, in_ch * kernel).T
         pool = _gemm_pool(pool, w.size * (b // 2) * n_out, (b // 2) * n_out)
 
@@ -254,33 +294,38 @@ def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
 
 
 def _corr_weight_grad(dy: np.ndarray, x: np.ndarray, stride: int, padding: int,
-                      kernel: int, pool=None) -> np.ndarray:
+                      kernel: int) -> np.ndarray:
     b, in_ch, in_len = x.shape
     _, out_ch, n_out = dy.shape
     dtype = np.result_type(dy, x)
+    taps = _taps(kernel, stride, padding, in_len, n_out)
     if _use_columns(out_ch, in_ch):
         dy_cols = _fold(dy)
-        cols_t = _columns(x, kernel, stride, padding, n_out).T
-        dw = np.empty((out_ch, in_ch * kernel), dtype=dtype)
-        pool = _gemm_pool(pool, (out_ch // 2) * in_ch * kernel * b * n_out, out_ch // 2)
-
-        def fill(o0, o1):  # a block of output channels: rows of the GEMM
-            np.matmul(dy_cols[o0:o1], cols_t, out=dw[o0:o1])
-        run_halves(pool, fill, out_ch)
-        return dw.reshape(out_ch, in_ch, kernel)
-    taps = _taps(kernel, stride, padding, in_len, n_out)
-    # per-window partials of each tap, a batch half per thread, then a sum per tap
-    partials = np.empty((len(taps), b, out_ch, in_ch), dtype=dtype)
-
-    def fill(b0, b1):
-        phases = _phases(x[b0:b1], stride)
-        for t, (_, r, q, lo, hi) in enumerate(taps):
-            np.matmul(dy[b0:b1, :, lo:hi], phases[r][:, :, lo + q:hi + q].transpose(0, 2, 1),
-                      out=partials[t, b0:b1])
-    run_halves(pool, fill, b)
+        if not _blocked_gemm(out_ch, b * n_out, in_ch):
+            cols = _columns(x, kernel, stride, padding, n_out)
+            return (dy_cols @ cols.T).reshape(out_ch, in_ch, kernel)
+        # dy_cols @ cols^T one tap's columns at a time: an N-split of that GEMM
+        geometry = {j: (r, q, lo, hi) for j, r, q, lo, hi in taps}
+        cols_j = np.empty((in_ch, b, n_out), dtype=x.dtype)
+        dw_j = np.empty((out_ch, in_ch), dtype=dtype)
+        dw = np.empty((out_ch, in_ch, kernel), dtype=dtype)
+        for j in range(kernel):
+            r, q, lo, hi = geometry.get(j, (0, 0, 0, 0))  # a tap of padding only: zeros
+            cols_j[:, :, :lo] = 0
+            cols_j[:, :, hi:] = 0
+            if lo < hi:
+                cols_j[:, :, lo:hi] = _tap_source(x, stride, r, q, lo, hi)
+            np.matmul(dy_cols, cols_j.reshape(in_ch, b * n_out).T, out=dw_j)
+            dw[:, :, j] = dw_j
+        return dw
+    # per-window partials of one tap at a time, then their sum over the batch
+    phases = _phases(x, stride)
+    partials = np.empty((b, out_ch, in_ch), dtype=dtype)
     dw = np.zeros((out_ch, in_ch, kernel), dtype=dtype)
-    for t, (j, *_) in enumerate(taps):
-        dw[:, :, j] = partials[t].sum(axis=0)
+    for j, r, q, lo, hi in taps:
+        np.matmul(dy[:, :, lo:hi], phases[r][:, :, lo + q:hi + q].transpose(0, 2, 1),
+                  out=partials)
+        dw[:, :, j] = partials.sum(axis=0)
     return dw
 
 
@@ -342,12 +387,19 @@ def _conv(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
             if xs.requires_grad:
                 xs.add_owned(
                     _corr_forward(dy, weight.values, stride, padding, pool) if transposed
-                    else _corr_input_grad(dy, weight.values, stride, padding, in_len, pool),
+                    else _corr_input_grad(dy, weight.values, stride, padding, in_len, pool,
+                                          by_tap=True),
                     signed_zeros=transposed and _may_hold_negative_zero(weight.values))
             # the correlation's output gradient and input: (dy, x), swapped when transposed
             pair = (x_values, dy) if transposed else (dy, x_values)
-            weight.grad += _corr_weight_grad(*pair, stride, padding, spec.kernel, pool)
-            bias.grad += dy.sum(axis=(0, 2))
+
+            def parameter_grads():  # no op and no tape: it may run on the worker
+                weight.slot.add_owned(_corr_weight_grad(*pair, stride, padding, spec.kernel))
+                bias.slot.add_owned(dy.sum(axis=(0, 2)))
+            if pool is None:
+                parameter_grads()
+            else:
+                tape.defer(pool.submit(parameter_grads))
         tape.record(backward)
     return y
 

@@ -1,14 +1,17 @@
 """A one-worker thread pool that lets a process use a second core.
 
-numpy's ``matmul`` releases the GIL, so a worker thread can run one half of
-a batch's GEMMs while the calling thread runs the other. Two callers use
-it through ``run_halves``: inference (``SeismoNet.predict`` splits a batch
-of whole windows) and the taped convolutions of a training step (each of
-the three kernels splits its batch, or a weight gradient its output rows;
-see ``nn.ops``). Either split only shortens a GEMM's N or M dimension,
-which leaves every output element's summation order, and so its bits,
-unchanged, as long as each half stays a blocked GEMM (``nn.ops``
-explains the small-matrix exception).
+numpy's ``matmul`` releases the GIL, so a worker thread can run GEMMs while
+the calling thread runs others. Three callers use it: through
+``run_halves``, inference (``SeismoNet.predict`` splits a batch of whole
+windows) and the taped convolutions of a training step (the forward and
+the input gradient split the batch); through ``submit``, a taped
+convolution's backward, which hands its parameter gradients to the worker
+while the calling thread goes on with the backward (``Tape.defer``; see
+``nn.ops``). A split only shortens a GEMM's N or M dimension, which leaves
+every output element's summation order, and so its bits, unchanged, as
+long as each half stays a blocked GEMM (``nn.ops`` explains the
+small-matrix exception); a job on the worker runs exactly what the calling
+thread would.
 
 Importing this module, and so seismonet, sets numpy's bundled OpenBLAS to
 one thread for the whole process (its ``scipy_openblas_set_num_threads64_``),
@@ -106,22 +109,35 @@ def second_core():
 
 
 def run_halves(pool, fill, n: int) -> None:
-    """Run ``fill(lo, hi)`` over ``[0, n)``, as two halves when ``pool`` is given.
+    """Run ``fill(lo, hi)`` over ``[0, n)`` as two halves, sharing them with the pool.
 
-    The pool's worker runs ``fill(n // 2, n)`` while this thread runs
-    ``fill(0, n // 2)``; both halves write into one output that ``fill``
-    closes over. This thread waits for the worker before it returns or
+    This thread and the pool's worker each take the next half not yet
+    taken, so while the worker is free it runs one half and this thread the
+    other, both writing into one output that ``fill`` closes over. While
+    the worker is busy with earlier jobs, this thread runs both halves and
+    withdraws the worker's turn, so no half queues behind those jobs. This
+    thread waits for a half that the worker took before it returns or
     re-raises, so no half is still writing once the caller moves on. With
     no pool, or fewer than two items, ``fill(0, n)`` runs here.
     """
     if pool is None or n < 2:
         fill(0, n)
         return
-    half = n // 2
-    tail = pool.submit(fill, half, n)
+    halves = iter(((0, n // 2), (n // 2, n)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                half = next(halves, None)
+            if half is None:
+                return
+            fill(*half)
+    turn = pool.submit(work)
     try:
-        fill(0, half)
+        work()
     except BaseException:
-        tail.exception()  # the worker finishes before this frame unwinds
+        turn.exception()  # the worker finishes before this frame unwinds
         raise
-    tail.result()
+    if not turn.cancel():  # the worker took a half, or has found none left
+        turn.result()

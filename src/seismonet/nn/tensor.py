@@ -18,15 +18,18 @@ batch norm's ``xhat``, leaky ReLU's mask), never the tensors themselves. So
 an activation that no backward reads is freed as soon as the forward drops
 the tensor, and ``Tape.backward()`` drops each closure right after running
 it: the op's saved arrays and its output gradient are freed once no closure
-still to run can read them.
+still to run, and no deferred job (``Tape.defer``), can read them.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from ..errors import ValidationError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 DEFAULT_DTYPE = np.float32
 
@@ -236,16 +239,39 @@ class ParamStore:
 
 
 class Tape:
-    """Backward-pass recorder for one forward execution."""
+    """Backward-pass recorder for one forward execution.
+
+    A closure may hand work that nothing later in the backward reads to
+    another thread (a convolution's parameter gradients, to the pool's
+    worker) and pass its future to ``defer``. ``backward`` waits for every
+    deferred future before it returns or re-raises, so whoever reads a
+    gradient after it (the SGD step) reads a finished one.
+    """
 
     def __init__(self):
         self._backward_fns: list[Callable[[], None]] = []
+        self._deferred: list[Future] = []
 
     def record(self, fn: Callable[[], None]) -> None:
         self._backward_fns.append(fn)
 
+    def defer(self, future: Future) -> None:
+        """Have ``backward`` wait for ``future`` before it returns."""
+        self._deferred.append(future)
+
     def backward(self) -> None:
-        """Run recorded closures in reverse order, dropping each once it has run."""
+        """Run recorded closures in reverse order, dropping each once it has run.
+
+        An error in a closure or in a deferred job propagates only once every
+        deferred job has finished; a closure's error wins.
+        """
         fns = self._backward_fns
-        while fns:
-            fns.pop()()
+        try:
+            while fns:
+                fns.pop()()
+        finally:
+            deferred, self._deferred = self._deferred, []
+            for future in deferred:
+                future.exception()  # waits, whatever the outcome
+        for future in deferred:
+            future.result()

@@ -103,8 +103,10 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
 
     rpeaks = None
     ann_path = annotation_path(path)
-    if ann_path.exists():
+    if ann_path.is_file():
         rpeaks = load_annotations(ann_path)
+    elif ann_path.exists():
+        raise RecordFormatError(f"{ann_path}: annotation path is not a file")
 
     return Record(
         subject_id=subject_id or path.stem,

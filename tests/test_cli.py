@@ -395,6 +395,20 @@ def test_directory_named_like_a_record_exits_one_naming_it(workspace, capsys, co
     assert capsys.readouterr().err == f"error: record file not found: {directory}\n"
 
 
+@pytest.mark.parametrize("command", ["hrv", "eval"])
+def test_directory_named_like_an_annotation_file_exits_one_naming_it(workspace, capsys,
+                                                                     command):
+    tmp, config = workspace
+    run(config, "synth")
+    run(config, "train", "--epochs", "1")  # eval needs a checkpoint
+    annotations = sorted((tmp / "data").glob("*.rpeaks"))[0]
+    annotations.unlink()
+    annotations.mkdir()
+    capsys.readouterr()
+    assert run(config, command) == 1
+    assert capsys.readouterr().err == f"error: {annotations}: annotation path is not a file\n"
+
+
 def test_non_finite_record_sample_exits_one(workspace, capsys):
     tmp, config = workspace
     run(config, "synth")

@@ -14,7 +14,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from seismonet.nn import ConvSpec, Parameter, SignalTensor, Tape, conv1d, conv_transpose1d
-from seismonet.nn.ops import _corr_forward, _corr_input_grad, _corr_weight_grad, _use_columns
+from seismonet.nn.ops import (_blocked_gemm, _corr_forward, _corr_input_grad, _corr_weight_grad,
+                              _use_columns)
 
 TOL = {np.float32: 1e-5, np.float64: 1e-12}
 CASES = 60
@@ -125,6 +126,22 @@ def test_kernels_match_reference(dtype):
         assert_close(_corr_weight_grad(dy, x, stride, padding, kernel),
                      ref_weight_grad(dy, x, stride, padding, kernel), dtype)
     assert_both_families(checked)
+
+
+@pytest.mark.parametrize("kernel, stride, padding, length", [(5, 2, 1, 4), (3, 1, 1, 60)])
+def test_tap_by_tap_backward_kernels_match_reference(kernel, stride, padding, length):
+    # Wide enough that the column family's backward kernels go one tap at a
+    # time; in the first geometry tap 0 reads only padding.
+    rng = np.random.default_rng(7)
+    n_out = (length + 2 * padding - kernel) // stride + 1
+    x = rng.normal(size=(64, 128, length)).astype(np.float32)
+    w = rng.normal(size=(128, 128, kernel)).astype(np.float32)
+    dy = rng.normal(size=(64, 128, n_out)).astype(np.float32)
+    assert _use_columns(128, 128) and _blocked_gemm(128, 64 * n_out, 128)
+    assert_close(_corr_weight_grad(dy, x, stride, padding, kernel),
+                 ref_weight_grad(dy, x, stride, padding, kernel), np.float32)
+    assert_close(_corr_input_grad(dy, w, stride, padding, length, by_tap=True),
+                 ref_input_grad(dy, w, stride, padding, length), np.float32)
 
 
 def test_input_grad_leaves_unreached_tail_zero():

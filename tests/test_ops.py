@@ -745,9 +745,10 @@ def test_backward_peak_stays_near_forward_level(monkeypatch):
 @pytest.mark.slow
 def test_paper_default_step_memory():
     # Paper-default net (levels 5, base 32, 2500 samples), batch 16.
-    # Measured: 122 MiB held at the end of the forward and a 126 MiB
-    # backward peak; keeping every closure and tensor alive took 264 and
-    # 490 MiB.
+    # Measured: 122 MiB held at the end of the forward and a backward peak
+    # of 124 MiB on one CPU, 128 MiB on two (the parameter gradients run on
+    # the pool's worker); keeping every closure and tensor alive took 264
+    # and 490 MiB.
     saved, peak = _taped_step_memory(ModelConfig(input_len=2500), 16)
     mib = 2 ** 20
     assert saved <= 128 * mib

@@ -9,6 +9,7 @@ import pytest
 
 import seismonet.model
 import seismonet.training
+from conftest import run_python, two_cpus
 from seismonet.errors import NumericError, ValidationError
 from seismonet.model import ModelConfig, build_model
 from seismonet.nn import lr_schedule
@@ -191,10 +192,12 @@ def test_history_csv_format(tmp_path):
     assert lines[1] == "0,0.001,1.5,2.5"
 
 
+BENCHMARK_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
 def _benchmark_tracing():
     """perfbench/tracing.py, loaded by path so the list below is the benchmark's."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", BENCHMARK_TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -245,3 +248,44 @@ def test_benchmark_tracer_runs_a_taped_step_and_a_prediction():
         model.predict(np.zeros((4, 200)))
     assert tracer.metrics(base, 1, 0.0, 0.0)["nn.op_calls"] > 0
     assert len(tracer.steps) == 1
+
+
+# One taped desk step and a prediction under the benchmark tracer, with
+# every convolution above the floor so that the pool's worker runs the
+# parameter gradients; prints the op calls, the recorded steps and the live
+# thread count.
+TRACED_WORKER_STEP = """
+import importlib.util
+import sys
+import threading
+import numpy as np
+import seismonet.training
+from seismonet import (ModelConfig, SynthParams, TrainConfig, build_model, labeled_only,
+                       segment_windows, synth_record)
+from seismonet.nn import ops
+from seismonet.windows import DatasetSplit
+
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+ops.SPLIT_MIN_MACS = 0
+record = synth_record(SynthParams(fs=100.0, duration_s=30.0, seed=40))
+windows = labeled_only(segment_windows(record, 2.0, 2.0, dt_clip=8.0))
+split = DatasetSplit(train=windows[:4], val=[], test=[])
+model = build_model(ModelConfig(input_len=200, levels=3, base_channels=8), seed=0)
+tracer = tracing.Tracer()
+base = tracer.snapshot()
+with tracer.active():
+    seismonet.training.train(model, split,
+                             TrainConfig(epochs=1, batch_size=4, checkpoint_every=0))
+    model.predict(np.zeros((4, 200)))
+print(tracer.metrics(base, 1, 0.0, 0.0)["nn.op_calls"] > 0, len(tracer.steps),
+      threading.active_count())
+"""
+
+
+@two_cpus
+def test_benchmark_tracer_runs_a_step_whose_parameter_gradients_run_on_the_worker():
+    # A job on the worker that called a traced name or recorded on the tape
+    # would be charged to the op the calling thread is tracing, and fail.
+    assert run_python(TRACED_WORKER_STEP, BENCHMARK_TRACING).split() == ["True", "1", "2"]

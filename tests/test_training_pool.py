@@ -1,20 +1,29 @@
-"""Training on two cores: the taped convolutions split over the one-worker
-pool, with the same bytes as on one core and about the same memory."""
+"""Training on two cores: the taped convolutions split their forward kernels
+over the one-worker pool, and the worker computes their parameter gradients
+while the calling thread runs the backward chain, with the same bytes as on
+one core and about the same memory."""
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from conftest import run_python, two_cpus
+from seismonet.nn import ConvSpec, Parameter, SignalTensor, Tape, conv1d, ops
 from seismonet.nn.pool import run_halves
 
 # Every correlation geometry of the desk and paper-default nets (transposed
 # layers in the correlation's own terms, so stride-2 up-sampling layers are
-# there too), run through the three kernels at several batch sizes on one
-# thread and given a one-worker pool. No size floor applies to a kernel that
-# is given a pool; only a column-family GEMM too small to keep its bits
-# stays whole. Prints the number of geometries and of kernel calls that
-# split, then each mismatch.
+# there too), at several batch sizes. The forward and the input gradient
+# run on one thread and given a one-worker pool: no size floor applies to a
+# kernel that is given a pool; only a column-family GEMM too small to keep
+# its bits stays whole. The backward's kernels, which build their column
+# operands one tap at a time (its input gradient also split), run against
+# the whole-column GEMM of one im2col buffer (and the per-tap weight
+# gradient against all taps' partials at once), written out here as the
+# reference. Prints the number of geometries, of kernel calls that split
+# and of column-family geometries whose backward went tap by tap, then
+# each mismatch.
 KERNEL_SHAPES = """
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
@@ -37,6 +46,46 @@ for config in (ModelConfig(input_len=200, levels=3, base_channels=8),
                                                               np.float32)), Tape(), True)
 ops._conv = conv
 
+def columns(x, kernel, stride, padding, n_out):
+    # cols[(i, j), (b, l)] = xpad[b, i, s*l + j]
+    b, in_ch, in_len = x.shape
+    xpad = np.zeros((b, in_ch, in_len + 2 * padding + stride * n_out), x.dtype)
+    xpad[:, :, padding:padding + in_len] = x
+    cols = np.empty((in_ch, kernel, b, n_out), x.dtype)
+    for j in range(kernel):
+        cols[:, j] = xpad[:, :, j:j + stride * n_out:stride].transpose(1, 0, 2)
+    return cols.reshape(in_ch * kernel, b * n_out)
+
+def fold(a):
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)
+
+def reference_weight_grad(dy, x, stride, padding, kernel):
+    (b, out_ch, n_out), in_ch = dy.shape, x.shape[1]
+    if ops._use_columns(out_ch, in_ch):
+        cols = columns(x, kernel, stride, padding, n_out)
+        return (fold(dy) @ cols.T).reshape(out_ch, in_ch, kernel)
+    taps = ops._taps(kernel, stride, padding, x.shape[2], n_out)
+    partials = np.empty((len(taps), b, out_ch, in_ch), dy.dtype)
+    phases = ops._phases(x, stride)
+    for t, (_, r, q, lo, hi) in enumerate(taps):
+        np.matmul(dy[:, :, lo:hi], phases[r][:, :, lo + q:hi + q].transpose(0, 2, 1),
+                  out=partials[t])
+    dw = np.zeros((out_ch, in_ch, kernel), dy.dtype)
+    for t, (j, *_) in enumerate(taps):
+        dw[:, :, j] = partials[t].sum(axis=0)
+    return dw
+
+def reference_input_grad(dy, w, stride, padding, n_in):
+    (out_ch, in_ch, kernel), (b, _, n_out) = w.shape, dy.shape
+    if not ops._use_columns(out_ch, in_ch):
+        return ops._corr_input_grad(dy, w, stride, padding, n_in)
+    dcols = w.reshape(out_ch, in_ch * kernel).T @ fold(dy)
+    dcols = dcols.reshape(in_ch, kernel, b, n_out).transpose(2, 0, 1, 3)
+    dxpad = np.zeros((b, in_ch, n_in + 2 * padding + stride * n_out), dy.dtype)
+    for j in range(kernel):
+        dxpad[:, :, j:j + stride * n_out:stride] += dcols[:, :, j]
+    return dxpad[:, :, padding:padding + n_in]
+
 class CountingPool(ThreadPoolExecutor):
     submits = 0
 
@@ -45,7 +94,7 @@ class CountingPool(ThreadPoolExecutor):
         return super().submit(*args)
 
 pool = CountingPool(max_workers=1)
-mismatches = []
+mismatches, by_tap = [], set()
 rng = np.random.default_rng(0)
 for w_shape, n_in, n_out, stride, padding in sorted(geometries):
     (out_ch, in_ch, kernel), w = w_shape, rng.normal(size=w_shape).astype(np.float32)
@@ -54,12 +103,22 @@ for w_shape, n_in, n_out, stride, padding in sorted(geometries):
         dy = rng.normal(size=(batch, out_ch, n_out)).astype(np.float32)
         for name, run in (
                 ("forward", lambda p: ops._corr_forward(x, w, stride, padding, p)),
-                ("input_grad", lambda p: ops._corr_input_grad(dy, w, stride, padding, n_in, p)),
-                ("weight_grad", lambda p: ops._corr_weight_grad(dy, x, stride, padding,
-                                                                kernel, p))):
+                ("input_grad", lambda p: ops._corr_input_grad(dy, w, stride, padding, n_in, p))):
             if run(None).tobytes() != run(pool).tobytes():
                 mismatches.append((name, w_shape, n_in, stride, padding, batch))
-print(len(geometries), CountingPool.submits)
+        dx = reference_input_grad(dy, w, stride, padding, n_in)
+        for name, got, want in (
+                ("backward_input_grad",
+                 ops._corr_input_grad(dy, w, stride, padding, n_in, by_tap=True), dx),
+                ("backward_input_grad_split",
+                 ops._corr_input_grad(dy, w, stride, padding, n_in, pool, by_tap=True), dx),
+                ("weight_grad", ops._corr_weight_grad(dy, x, stride, padding, kernel),
+                 reference_weight_grad(dy, x, stride, padding, kernel))):
+            if got.tobytes() != np.ascontiguousarray(want).tobytes():
+                mismatches.append((name, w_shape, n_in, stride, padding, batch))
+        if ops._use_columns(out_ch, in_ch) and ops._blocked_gemm(out_ch, batch * n_out, in_ch):
+            by_tap.add((w_shape, n_in, stride, padding))
+print(len(geometries), CountingPool.submits, len(by_tap))
 for mismatch in mismatches:
     print(*mismatch)
 """
@@ -158,6 +217,81 @@ def test_run_halves_waits_for_the_worker_before_reraising():
     assert done[-1] == (0, 5)
 
 
+def test_run_halves_runs_both_halves_here_while_the_worker_is_busy():
+    release, halves = threading.Event(), []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        busy = pool.submit(release.wait)
+        run_halves(pool, lambda lo, hi: halves.append((lo, hi, threading.get_ident())), 5)
+        assert not busy.done()  # it returned without waiting behind the queued job
+        release.set()
+    assert halves == [(0, 2, threading.get_ident()), (2, 5, threading.get_ident())]
+
+
+def test_tape_backward_waits_for_every_deferred_job_before_reraising():
+    done = []
+
+    def job(tag, fail=False):
+        threading.Event().wait(0.05)
+        done.append(tag)
+        if fail:
+            raise RuntimeError(tag)
+
+    def chain_fails():
+        raise ValueError("chain")
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # a deferred job fails: backward re-raises it once the later job has run too
+        tape = Tape()
+        tape.record(lambda: tape.defer(pool.submit(job, "second")))
+        tape.record(lambda: tape.defer(pool.submit(job, "first", True)))
+        with pytest.raises(RuntimeError, match="first"):
+            tape.backward()
+        assert done == ["first", "second"]
+        # the chain fails: the jobs submitted before it finish first
+        tape = Tape()
+        tape.record(chain_fails)
+        tape.record(lambda: tape.defer(pool.submit(job, "third")))
+        with pytest.raises(ValueError, match="chain"):
+            tape.backward()
+        assert done == ["first", "second", "third"]
+        assert pool.submit(len, "ok").result() == 2
+
+
+def test_deferred_parameter_gradients_match_one_thread_and_reraise_failures(monkeypatch):
+    # In-process, with the pool and floor patched, so any CPU count defers.
+    rng = np.random.default_rng(0)
+    spec = ConvSpec(8, 8, 5, stride=2, padding=2)
+    x_values = rng.normal(size=(4, 8, 60)).astype(np.float32)
+    w_values = rng.normal(size=spec.weight_shape).astype(np.float32)
+
+    def step():
+        weight, bias = Parameter(w_values.copy()), Parameter(np.zeros(8, np.float32))
+        x, tape = SignalTensor(x_values), Tape()
+        y = conv1d(x, weight, bias, spec, tape)
+        y.grad[...] = 1.0
+        tape.backward()
+        return x.grad.tobytes(), weight.grad.tobytes(), bias.grad.tobytes()
+
+    one_thread = step()
+    workers = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        monkeypatch.setattr(ops, "second_core", lambda: pool)
+        monkeypatch.setattr(ops, "SPLIT_MIN_MACS", 0)
+        assert step() == one_thread
+        weight_grad = ops._corr_weight_grad
+
+        def failing(*args):
+            threading.Event().wait(0.05)
+            workers.append(threading.current_thread() is not threading.main_thread())
+            raise MemoryError("weight gradient")
+
+        monkeypatch.setattr(ops, "_corr_weight_grad", failing)
+        with pytest.raises(MemoryError, match="weight gradient"):
+            step()
+        assert workers == [True]
+        monkeypatch.setattr(ops, "_corr_weight_grad", weight_grad)
+        assert step() == one_thread
+
 @two_cpus
 def test_second_core_is_none_on_the_pool_worker():
     # A job that split again would queue behind itself on the one worker.
@@ -171,8 +305,8 @@ print(pool is not None, pool.submit(second_core).result() is None)
 
 def test_split_kernels_give_the_one_thread_bytes_on_every_model_shape():
     lines = run_python(KERNEL_SHAPES).splitlines()
-    geometries, splits = map(int, lines[0].split())
-    assert geometries >= 90 and splits >= 2 * geometries * 3
+    geometries, splits, by_tap = map(int, lines[0].split())
+    assert geometries >= 90 and splits >= 2 * geometries * 3 and by_tap >= 10
     assert lines[1:] == []
 
 
