@@ -264,7 +264,8 @@ def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
     taps = _taps(kernel, stride, padding, input_len, n_out)
     columns = _use_columns(out_ch, in_ch)
     if columns and by_tap and _blocked_gemm(in_ch, out_ch, b * n_out):
-        w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (kernel, out, in)
+        # (kernel, out, in): W_j^T is then a transposed view, as in the one GEMM
+        w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))
         pool = _gemm_pool(pool, in_ch * out_ch * (b // 2) * n_out, (b // 2) * n_out)
 
         def fill(b0, b1):
