@@ -57,13 +57,14 @@ Its backward computes the input gradient first, then hands the weight and
 bias gradients to the worker as one job (``Tape.defer``): nothing later in
 the backward reads them, so the calling thread goes on at once with the
 rest of the chain. A job calls only the kernels and ``GradSlot.add_owned``,
-never an op or the tape. The backward builds its column operands one tap at
-a time, so the worker's and the calling thread's temporaries stay small
-together: the weight gradient builds the (in, batch*n) columns of tap j and
-does dw[:, :, j] = dy(o, b*n) @ cols_j^T, the input gradient does dcols_j =
-W_j^T @ dy(o, b*n), and the per-tap weight gradient fills one tap's
-per-window partials (b, out, in) at a time. The forward keeps its one GEMM,
-which is faster.
+never an op or the tape. The gradient kernels build their column operands
+one tap at a time, so the worker's and the calling thread's temporaries
+stay small together: the weight gradient builds the (in, batch*n) columns
+of tap j and does dw[:, :, j] = dy(o, b*n) @ cols_j^T, the input gradient
+(also a transposed convolution's forward) does dcols_j = W_j^T @ dy(o, b*n),
+and the per-tap weight gradient fills one tap's per-window partials
+(b, out, in) at a time. The column forward keeps its one GEMM: its taps
+cut the GEMM's K dimension, which would change the summation order.
 
 None of this changes a bit. Per-tap GEMMs are per window, so a batch split
 runs the same GEMM calls. A column GEMM cut along N or M, by batch half or
@@ -206,13 +207,12 @@ def _blocked_gemm(m: int, k: int, n: int) -> bool:
     return m * k * n > SMALL_GEMM_MACS and min(m, k, n) >= 2
 
 
-def _gemm_pool(pool, half_macs: int, half_len: int):
-    """``pool`` if a column-family GEMM keeps its bits when split in two, else None.
+def _gemm_pool(pool, m: int, k: int, b: int, n: int):
+    """``pool`` if an (m, k) @ (k, b*n) GEMM keeps its bits cut into batch halves.
 
-    ``half_macs`` is the smaller half's multiply-adds and ``half_len`` its
-    extent along the split dimension.
+    The smaller half, (m, k) @ (k, (b//2)*n), must stay a blocked GEMM.
     """
-    return pool if half_macs > SMALL_GEMM_MACS and half_len >= 2 else None
+    return pool if _blocked_gemm(m, k, b // 2 * n) else None
 
 
 def _fold(dy: np.ndarray) -> np.ndarray:
@@ -230,7 +230,7 @@ def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     if _use_columns(out_ch, in_ch):
         w_cols = w.reshape(out_ch, in_ch * kernel)
         y = np.empty((b, out_ch, n_out), dtype=dtype)  # see _may_hold_negative_zero
-        pool = _gemm_pool(pool, w.size * (b // 2) * n_out, (b // 2) * n_out)
+        pool = _gemm_pool(pool, out_ch, in_ch * kernel, b, n_out)
 
         def fill(b0, b1):
             cols = _columns(x[b0:b1], kernel, stride, padding, n_out)
@@ -248,13 +248,12 @@ def _corr_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
 
 
 def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                     input_len: int, pool=None, by_tap: bool = False) -> np.ndarray:
+                     input_len: int, pool=None) -> np.ndarray:
     """The correlation's input gradient; also a transposed convolution's forward.
 
-    ``by_tap``, the backward's choice, runs the column family's GEMM one
-    tap's rows at a time: an M-split with the same bits, which holds an
-    (in, batch*n) block of ``dcols`` rather than all in*k rows. The
-    forward keeps the one GEMM, which is faster.
+    The column family runs its GEMM one tap's rows at a time, an M-split
+    with the same bits that holds an (in, batch*n) block of ``dcols``
+    rather than all in*k rows, unless a tap's GEMM would not stay blocked.
     """
     b, _, n_out = dy.shape
     out_ch, in_ch, kernel = w.shape
@@ -263,10 +262,10 @@ def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
     dxp = np.zeros((b, in_ch, phase_len, stride), dtype=np.result_type(dy, w))
     taps = _taps(kernel, stride, padding, input_len, n_out)
     columns = _use_columns(out_ch, in_ch)
-    if columns and by_tap and _blocked_gemm(in_ch, out_ch, b * n_out):
+    if columns and _blocked_gemm(in_ch, out_ch, b * n_out):
         # (kernel, out, in): W_j^T is then a transposed view, as in the one GEMM
         w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-        pool = _gemm_pool(pool, in_ch * out_ch * (b // 2) * n_out, (b // 2) * n_out)
+        pool = _gemm_pool(pool, in_ch, out_ch, b, n_out)
 
         def fill(b0, b1):
             dy_cols, part = _fold(dy[b0:b1]), dxp[b0:b1]
@@ -275,7 +274,7 @@ def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
                 part[:, :, lo + q:hi + q, r] += dcols.transpose(1, 0, 2)[:, :, lo:hi]
     elif columns:
         w_cols_t = w.reshape(out_ch, in_ch * kernel).T
-        pool = _gemm_pool(pool, w.size * (b // 2) * n_out, (b // 2) * n_out)
+        pool = _gemm_pool(pool, in_ch * kernel, out_ch, b, n_out)
 
         def fill(b0, b1):
             dcols = w_cols_t @ _fold(dy[b0:b1])
@@ -388,8 +387,7 @@ def _conv(x: SignalTensor, weight: Parameter, bias: Parameter, spec: ConvSpec,
             if xs.requires_grad:
                 xs.add_owned(
                     _corr_forward(dy, weight.values, stride, padding, pool) if transposed
-                    else _corr_input_grad(dy, weight.values, stride, padding, in_len, pool,
-                                          by_tap=True),
+                    else _corr_input_grad(dy, weight.values, stride, padding, in_len, pool),
                     signed_zeros=transposed and _may_hold_negative_zero(weight.values))
             # the correlation's output gradient and input: (dy, x), swapped when transposed
             pair = (x_values, dy) if transposed else (dy, x_values)

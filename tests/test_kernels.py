@@ -130,7 +130,7 @@ def test_kernels_match_reference(dtype):
 
 @pytest.mark.parametrize("kernel, stride, padding, length", [(5, 2, 1, 4), (3, 1, 1, 60)])
 def test_tap_by_tap_backward_kernels_match_reference(kernel, stride, padding, length):
-    # Wide enough that the column family's backward kernels go one tap at a
+    # Wide enough that the column family's gradient kernels go one tap at a
     # time; in the first geometry tap 0 reads only padding.
     rng = np.random.default_rng(7)
     n_out = (length + 2 * padding - kernel) // stride + 1
@@ -140,7 +140,7 @@ def test_tap_by_tap_backward_kernels_match_reference(kernel, stride, padding, le
     assert _use_columns(128, 128) and _blocked_gemm(128, 64 * n_out, 128)
     assert_close(_corr_weight_grad(dy, x, stride, padding, kernel),
                  ref_weight_grad(dy, x, stride, padding, kernel), np.float32)
-    assert_close(_corr_input_grad(dy, w, stride, padding, length, by_tap=True),
+    assert_close(_corr_input_grad(dy, w, stride, padding, length),
                  ref_input_grad(dy, w, stride, padding, length), np.float32)
 
 

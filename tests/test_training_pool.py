@@ -17,13 +17,12 @@ from seismonet.nn.pool import run_halves
 # there too), at several batch sizes. The forward and the input gradient
 # run on one thread and given a one-worker pool: no size floor applies to a
 # kernel that is given a pool; only a column-family GEMM too small to keep
-# its bits stays whole. The backward's kernels, which build their column
-# operands one tap at a time (its input gradient also split), run against
-# the whole-column GEMM of one im2col buffer (and the per-tap weight
-# gradient against all taps' partials at once), written out here as the
-# reference. Prints the number of geometries, of kernel calls that split
-# and of column-family geometries whose backward went tap by tap, then
-# each mismatch.
+# its bits stays whole. The gradient kernels, which build their column
+# operands one tap at a time, run against the whole-column GEMM of one
+# im2col buffer (and the per-tap weight gradient against all taps'
+# partials at once), written out here as the reference. Prints the number
+# of geometries, of kernel calls that split and of column-family
+# geometries whose gradients went tap by tap, then each mismatch.
 KERNEL_SHAPES = """
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
@@ -94,7 +93,7 @@ class CountingPool(ThreadPoolExecutor):
         return super().submit(*args)
 
 pool = CountingPool(max_workers=1)
-mismatches, by_tap = [], set()
+mismatches, tap_by_tap = [], set()
 rng = np.random.default_rng(0)
 for w_shape, n_in, n_out, stride, padding in sorted(geometries):
     (out_ch, in_ch, kernel), w = w_shape, rng.normal(size=w_shape).astype(np.float32)
@@ -108,17 +107,14 @@ for w_shape, n_in, n_out, stride, padding in sorted(geometries):
                 mismatches.append((name, w_shape, n_in, stride, padding, batch))
         dx = reference_input_grad(dy, w, stride, padding, n_in)
         for name, got, want in (
-                ("backward_input_grad",
-                 ops._corr_input_grad(dy, w, stride, padding, n_in, by_tap=True), dx),
-                ("backward_input_grad_split",
-                 ops._corr_input_grad(dy, w, stride, padding, n_in, pool, by_tap=True), dx),
+                ("input_grad_reference", ops._corr_input_grad(dy, w, stride, padding, n_in), dx),
                 ("weight_grad", ops._corr_weight_grad(dy, x, stride, padding, kernel),
                  reference_weight_grad(dy, x, stride, padding, kernel))):
             if got.tobytes() != np.ascontiguousarray(want).tobytes():
                 mismatches.append((name, w_shape, n_in, stride, padding, batch))
         if ops._use_columns(out_ch, in_ch) and ops._blocked_gemm(out_ch, batch * n_out, in_ch):
-            by_tap.add((w_shape, n_in, stride, padding))
-print(len(geometries), CountingPool.submits, len(by_tap))
+            tap_by_tap.add((w_shape, n_in, stride, padding))
+print(len(geometries), CountingPool.submits, len(tap_by_tap))
 for mismatch in mismatches:
     print(*mismatch)
 """
@@ -223,6 +219,15 @@ def test_run_halves_runs_both_halves_here_while_the_worker_is_busy():
         busy = pool.submit(release.wait)
         run_halves(pool, lambda lo, hi: halves.append((lo, hi, threading.get_ident())), 5)
         assert not busy.done()  # it returned without waiting behind the queued job
+
+        def fail(lo, hi):
+            raise RuntimeError("first half")
+        timeout = threading.Timer(5.0, release.set)  # so a wait behind the job ends
+        timeout.start()
+        with pytest.raises(RuntimeError, match="first half"):
+            run_halves(pool, fail, 5)
+        assert not busy.done()  # a failed half withdraws the worker's turn too
+        timeout.cancel()
         release.set()
     assert halves == [(0, 2, threading.get_ident()), (2, 5, threading.get_ident())]
 
@@ -305,8 +310,11 @@ print(pool is not None, pool.submit(second_core).result() is None)
 
 def test_split_kernels_give_the_one_thread_bytes_on_every_model_shape():
     lines = run_python(KERNEL_SHAPES).splitlines()
-    geometries, splits, by_tap = map(int, lines[0].split())
-    assert geometries >= 90 and splits >= 2 * geometries * 3 and by_tap >= 10
+    geometries, splits, tap_by_tap = map(int, lines[0].split())
+    # two kernels that may split at batch 3, 5 and 16: six calls per
+    # geometry, of which only the column GEMMs too small to keep their bits
+    # (the desk net's and the entry convolutions') stay whole
+    assert geometries >= 90 and splits >= 5 * geometries and tap_by_tap >= 10
     assert lines[1:] == []
 
 
