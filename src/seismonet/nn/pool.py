@@ -115,11 +115,11 @@ def run_halves(pool, fill, n: int) -> None:
     taken, so while the worker is free it runs one half and this thread the
     other, both writing into one output that ``fill`` closes over. While
     the worker is busy with earlier jobs, this thread runs both halves and
-    withdraws the worker's turn, so no half queues behind those jobs; a
-    half that fails here withdraws it too. This thread waits for a half
+    withdraws the worker's turn, so no half queues behind those jobs; it
+    withdraws it too when a half fails here. This thread waits for a half
     that the worker took before it returns or re-raises, so no half is
-    still writing once the caller moves on. With
-    no pool, or fewer than two items, ``fill(0, n)`` runs here.
+    still writing once the caller moves on. With no pool, or fewer than
+    two items, ``fill(0, n)`` runs here.
     """
     if pool is None or n < 2:
         fill(0, n)
@@ -137,9 +137,8 @@ def run_halves(pool, fill, n: int) -> None:
     turn = pool.submit(work)
     try:
         work()
-    except BaseException:
-        if not turn.cancel():  # the worker took a half: it finishes before this frame unwinds
-            turn.exception()
-        raise
-    if not turn.cancel():  # the worker took a half, or has found none left
-        turn.result()
+    finally:
+        # a turn not withdrawn (the worker took a half, or found none left) ends first
+        worker_error = None if turn.cancel() else turn.exception()
+    if worker_error is not None:
+        raise worker_error
