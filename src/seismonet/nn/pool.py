@@ -30,10 +30,19 @@ worker did not survive the fork. On the worker itself ``second_core``
 returns None: a job that split again would queue behind itself on the one
 worker and wait forever.
 
-Creating the pool caps glibc at one malloc arena (``mallopt(M_ARENA_MAX,
-1)``; a no-op off glibc). A worker thread otherwise gets an arena of its
-own, whose freed activations the calling thread cannot reuse: that raised
-the peak RSS of scoring a long record by about 9 %.
+Creating the pool sets three glibc malloc parameters (``mallopt``; a
+no-op off glibc). It caps glibc at one arena (``M_ARENA_MAX``): a worker
+thread otherwise gets an arena of its own, whose freed activations the
+calling thread cannot reuse, and that raised the peak RSS of scoring a
+long record by about 9 %. It also fixes the mmap threshold at 32 MiB, the
+ceiling of glibc's dynamic one on 64-bit, and turns heap trimming off
+(setting either threshold ends glibc's adjusting of both). Under the
+dynamic defaults, whether the free top of the heap crossed the trim
+threshold after a training step depended on where earlier frees had left
+it, which varies with the order in which the two threads free: some runs
+of the ``train_paper`` benchmark gave back and re-faulted about 20 MB per
+epoch (about 5000 minor faults a second), others none. Trimming only
+lowered the RSS between steps, never the peak.
 """
 from __future__ import annotations
 
@@ -41,7 +50,12 @@ import ctypes
 import os
 import threading
 
-M_ARENA_MAX = -8  # glibc's mallopt parameter number
+# glibc's mallopt parameter numbers
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+M_ARENA_MAX = -8
+# DEFAULT_MMAP_THRESHOLD_MAX on 64-bit: the dynamic threshold's ceiling
+MMAP_THRESHOLD = 32 << 20
 
 # One pool per process: it stands for the process's second core.
 _executor = None
@@ -73,7 +87,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _cap_malloc_arenas() -> None:
+def _steady_malloc() -> None:
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError):  # not glibc
@@ -81,6 +95,8 @@ def _cap_malloc_arenas() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(M_ARENA_MAX, 1)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, -1)  # never trim
 
 
 def _mark_worker() -> None:
@@ -100,7 +116,7 @@ def second_core():
                 if _blas_pinned and _cpus() >= 2:
                     from concurrent.futures import ThreadPoolExecutor
 
-                    _cap_malloc_arenas()
+                    _steady_malloc()
                     _executor = ThreadPoolExecutor(max_workers=1,
                                                    thread_name_prefix="seismonet",
                                                    initializer=_mark_worker)

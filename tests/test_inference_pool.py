@@ -1,4 +1,6 @@
 """Inference on two cores: the same bytes and the same memory as on one."""
+import platform
+
 import pytest
 
 from conftest import run_python, two_cpus
@@ -105,3 +107,29 @@ def test_split_adds_no_malloc_arena_to_the_peak_rss():
     split = float(run_python(PEAK_RSS))
     single = float(run_python(PEAK_RSS, one_cpu=True))
     assert split - single <= 3.0, (split, single)
+
+
+# Once the pool exists, two freed 24 MiB blocks stay in the heap, so making
+# them again faults no page. Under glibc's dynamic thresholds every round
+# took fresh pages from the system again: about 1000 minor faults a round
+# on a 2-vCPU VM whose kernel backs numpy's large arrays with transparent
+# huge pages (48 MiB is 12288 pages of 4 KiB).
+REUSED_HEAP = """
+import resource
+import numpy as np
+from seismonet.nn.pool import second_core
+
+assert second_core() is not None
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    a = np.ones(6 << 20, np.float32)
+    b = np.ones(6 << 20, np.float32)
+    del a, b
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
+def test_pool_process_reuses_freed_heap_without_page_faults():
+    faults = [int(n) for n in run_python(REUSED_HEAP).split()]
+    assert faults[0] > 0 and max(faults[1:]) <= 10, faults
