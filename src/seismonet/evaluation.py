@@ -1,6 +1,7 @@
 """Scoring of detected beats against ground truth, per subject and overall."""
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,12 +80,12 @@ class PeakMatchReport:
         """Write per-subject rows plus a total row; Se/PPV at 2 decimals."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("subject,detected,actual,tp,fp,fn,se,ppv\n")
+            writer = csv.writer(fh, lineterminator="\n")  # quotes a subject with a comma
             for r in self.rows:
-                fh.write(f"{r.subject_id},{r.detected_total},{r.actual_total},"
-                         f"{r.tp},{r.fp},{r.fn},{_round2(r.se)},{_round2(r.ppv)}\n")
-            detected, actual, tp, fp, fn = self.totals()
-            fh.write(f"total,{detected},{actual},{tp},{fp},{fn},"
-                     f"{_round2(self.total_se)},{_round2(self.total_ppv)}\n")
+                writer.writerow([r.subject_id, r.detected_total, r.actual_total,
+                                 r.tp, r.fp, r.fn, _round2(r.se), _round2(r.ppv)])
+            writer.writerow(["total", *self.totals(),
+                             _round2(self.total_se), _round2(self.total_ppv)])
 
 
 def _round2(value: float) -> str:
@@ -240,9 +241,9 @@ def hrv_table(report: PeakMatchReport) -> list[HrvRow]:
 def write_hrv_csv(rows: Sequence[HrvRow], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(HRV_HEADER + "\n")
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a subject with a comma
         for subject, source, idx in rows:
-            fh.write(f"{subject},{source},{idx.mean_nn!r},{idx.sdnn!r},"
-                     f"{idx.rmssd!r},{idx.pnn50!r}\n")
+            writer.writerow([subject, source, idx.mean_nn, idx.sdnn, idx.rmssd, idx.pnn50])
 
 
 def read_hrv_csv(path: str | Path) -> list[HrvRow]:
@@ -251,7 +252,7 @@ def read_hrv_csv(path: str | Path) -> list[HrvRow]:
     A wrong header, a row with the wrong field count, a non-numeric or
     non-finite value, or a repeated (subject, source) pair raises
     ``RecordFormatError`` naming the line, and bytes that are not UTF-8
-    raise it naming the file. Blank lines are skipped.
+    raise it naming the file. Fields are read as CSV; blank lines are skipped.
     """
     path = Path(path)
     if not path.exists():
@@ -262,9 +263,10 @@ def read_hrv_csv(path: str | Path) -> list[HrvRow]:
         with open(path, encoding="utf-8") as fh:
             if fh.readline().strip() != HRV_HEADER:
                 raise RecordFormatError(f"{path}:1: expected the header {HRV_HEADER!r}")
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.strip().split(",")
-                if parts == [""]:
+            reader = csv.reader(line.strip() for line in fh)
+            for parts in reader:
+                lineno = reader.line_num + 1  # after the header
+                if not parts:
                     continue
                 if len(parts) != n_fields:
                     raise RecordFormatError(
@@ -281,6 +283,8 @@ def read_hrv_csv(path: str | Path) -> list[HrvRow]:
                 rows[key] = HrvIndices(*values)
     except UnicodeDecodeError:
         raise RecordFormatError(f"{path}: not valid UTF-8") from None
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise RecordFormatError(f"{path}:{reader.line_num + 1}: {exc}") from None
     return [(subject, source, idx) for (subject, source), idx in rows.items()]
 
 

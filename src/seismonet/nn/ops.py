@@ -21,7 +21,7 @@ once per call (an accumulating GEMM per tap, Anderson et al. 2017):
 It builds no im2col copy. For stride s > 1 the input is first split into s
 contiguous phases x[:, :, r::s], so every tap reads a unit-stride view of
 one phase (a BLAS operand without a copy); the input gradient accumulates
-into strided phase views of one buffer whose flat layout is dx itself. The
+into strided views of dx itself, which a caller then adopts whole. The
 zero padding is never materialized: each tap covers only the output
 positions whose reads land inside the input.
 
@@ -50,9 +50,10 @@ k=5 weight gradient at length 1250, batch 16, takes about 3.5x as long).
 A taped convolution (a training step's) uses the one-worker pool in
 ``nn.pool`` when it is available and half the batch x weight values x the
 longer length reaches ``SPLIT_MIN_MACS``. Its forward and input-gradient
-kernels split the batch, both halves writing into one output; a half that
-the worker has not started when the calling thread is free runs on the
-calling thread (``run_halves``), so a split never waits behind queued jobs.
+kernels split the batch, both halves writing into one output: the worker
+is handed one half, and the calling thread runs the other and then takes
+back the worker's if it has not started (``run_halves``), so a split never
+waits behind queued jobs.
 Its backward computes the input gradient first, then hands the weight and
 bias gradients to the worker as one job (``Tape.defer``): nothing later in
 the backward reads them, so the calling thread goes on at once with the
@@ -182,10 +183,10 @@ def _may_hold_negative_zero(w: np.ndarray) -> bool:
     return _use_columns(*w.shape[:2])
 
 
-def _tap_source(x: np.ndarray, stride: int, r: int, q: int, lo: int, hi: int) -> np.ndarray:
-    """What outputs [lo, hi) of tap (r, q) read, as an (in, batch, hi - lo) view."""
+def _tap_span(stride: int, r: int, q: int, lo: int, hi: int) -> slice:
+    """The input samples that outputs [lo, hi) of tap (r, q) read (and add to)."""
     start = stride * (lo + q) + r
-    return x[:, :, start:start + stride * (hi - lo - 1) + 1:stride].transpose(1, 0, 2)
+    return slice(start, start + stride * (hi - lo - 1) + 1, stride)
 
 
 def _columns(x: np.ndarray, kernel: int, stride: int, padding: int,
@@ -194,7 +195,7 @@ def _columns(x: np.ndarray, kernel: int, stride: int, padding: int,
     b, in_ch, in_len = x.shape
     cols = np.zeros((in_ch, kernel, b, n_out), dtype=x.dtype)
     for j, r, q, lo, hi in _taps(kernel, stride, padding, in_len, n_out):
-        cols[:, j, :, lo:hi] = _tap_source(x, stride, r, q, lo, hi)
+        cols[:, j, :, lo:hi] = x[:, :, _tap_span(stride, r, q, lo, hi)].transpose(1, 0, 2)
     return cols.reshape(in_ch * kernel, b * n_out)
 
 
@@ -257,21 +258,19 @@ def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
     """
     b, _, n_out = dy.shape
     out_ch, in_ch, kernel = w.shape
-    # dx[:, :, r + stride*t] is dxp[:, :, t, r]: phase r is a strided view.
-    phase_len = -(-input_len // stride)
-    dxp = np.zeros((b, in_ch, phase_len, stride), dtype=np.result_type(dy, w))
-    taps = _taps(kernel, stride, padding, input_len, n_out)
+    dx = np.zeros((b, in_ch, input_len), dtype=np.result_type(dy, w))
+    taps = [(j, lo, hi, _tap_span(stride, r, q, lo, hi))
+            for j, r, q, lo, hi in _taps(kernel, stride, padding, input_len, n_out)]
     columns = _use_columns(out_ch, in_ch)
     if columns and _blocked_gemm(in_ch, out_ch, b * n_out):
-        # (kernel, out, in): W_j^T is then a transposed view, as in the one GEMM
-        w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))
         pool = _gemm_pool(pool, in_ch, out_ch, b, n_out)
 
         def fill(b0, b1):
-            dy_cols, part = _fold(dy[b0:b1]), dxp[b0:b1]
-            for j, r, q, lo, hi in taps:
-                dcols = (w_taps[j].T @ dy_cols).reshape(in_ch, b1 - b0, n_out)
-                part[:, :, lo + q:hi + q, r] += dcols.transpose(1, 0, 2)[:, :, lo:hi]
+            dy_cols, part = _fold(dy[b0:b1]), dx[b0:b1]
+            for j, lo, hi, span in taps:
+                w_j = np.ascontiguousarray(w[:, :, j])  # W_j^T: a transposed view, as in one GEMM
+                dcols = (w_j.T @ dy_cols).reshape(in_ch, b1 - b0, n_out)
+                part[:, :, span] += dcols.transpose(1, 0, 2)[:, :, lo:hi]
     elif columns:
         w_cols_t = w.reshape(out_ch, in_ch * kernel).T
         pool = _gemm_pool(pool, in_ch * kernel, out_ch, b, n_out)
@@ -279,18 +278,18 @@ def _corr_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
         def fill(b0, b1):
             dcols = w_cols_t @ _fold(dy[b0:b1])
             dcols = dcols.reshape(in_ch, kernel, b1 - b0, n_out).transpose(2, 0, 1, 3)
-            part = dxp[b0:b1]
-            for j, r, q, lo, hi in taps:
-                part[:, :, lo + q:hi + q, r] += dcols[:, :, j, lo:hi]
+            part = dx[b0:b1]
+            for j, lo, hi, span in taps:
+                part[:, :, span] += dcols[:, :, j, lo:hi]
     else:
         w_taps = np.ascontiguousarray(w.transpose(2, 1, 0))  # (kernel, in, out)
 
         def fill(b0, b1):
-            part = dxp[b0:b1]
-            for j, r, q, lo, hi in taps:
-                part[:, :, lo + q:hi + q, r] += w_taps[j] @ dy[b0:b1, :, lo:hi]
+            part = dx[b0:b1]
+            for j, lo, hi, span in taps:
+                part[:, :, span] += w_taps[j] @ dy[b0:b1, :, lo:hi]
     run_halves(pool, fill, b)
-    return dxp.reshape(b, in_ch, phase_len * stride)[:, :, :input_len]
+    return dx
 
 
 def _corr_weight_grad(dy: np.ndarray, x: np.ndarray, stride: int, padding: int,
@@ -300,21 +299,21 @@ def _corr_weight_grad(dy: np.ndarray, x: np.ndarray, stride: int, padding: int,
     dtype = np.result_type(dy, x)
     taps = _taps(kernel, stride, padding, in_len, n_out)
     if _use_columns(out_ch, in_ch):
-        dy_cols = _fold(dy)
         if not _blocked_gemm(out_ch, b * n_out, in_ch):
             cols = _columns(x, kernel, stride, padding, n_out)
-            return (dy_cols @ cols.T).reshape(out_ch, in_ch, kernel)
-        # dy_cols @ cols^T one tap's columns at a time: an N-split of that GEMM
+            return (_fold(dy) @ cols.T).reshape(out_ch, in_ch, kernel)
+        # dy_cols @ cols^T by tap (an N-split of that GEMM) into dw, made first as it outlives all
+        dw = np.empty((out_ch, in_ch, kernel), dtype=dtype)
+        dy_cols = _fold(dy)
         geometry = {j: (r, q, lo, hi) for j, r, q, lo, hi in taps}
         cols_j = np.empty((in_ch, b, n_out), dtype=x.dtype)
         dw_j = np.empty((out_ch, in_ch), dtype=dtype)
-        dw = np.empty((out_ch, in_ch, kernel), dtype=dtype)
         for j in range(kernel):
             r, q, lo, hi = geometry.get(j, (0, 0, 0, 0))  # a tap of padding only: zeros
             cols_j[:, :, :lo] = 0
             cols_j[:, :, hi:] = 0
             if lo < hi:
-                cols_j[:, :, lo:hi] = _tap_source(x, stride, r, q, lo, hi)
+                cols_j[:, :, lo:hi] = x[:, :, _tap_span(stride, r, q, lo, hi)].transpose(1, 0, 2)
             np.matmul(dy_cols, cols_j.reshape(in_ch, b * n_out).T, out=dw_j)
             dw[:, :, j] = dw_j
         return dw
@@ -469,14 +468,15 @@ def batchnorm1d(x: SignalTensor, state: BatchNormState, training: bool,
             gamma.grad += sum_dy_xhat
             beta.grad += sum_dy
             scale = gamma.values * inv_std
+            ys.buffer = None  # nothing reads dy or xhat again: dx is made in their buffers
             if training:
                 # dx = scale/m * (m*dy - sum(dy) - xhat*sum(dy*xhat))
-                dx = dy * scale[None, :, None]
+                dx = np.multiply(dy, scale[None, :, None], out=dy)
                 dx -= (scale / m * sum_dy)[None, :, None]
-                dx -= xhat * (scale / m * sum_dy_xhat)[None, :, None]
-                xs.grad += dx
+                dx -= np.multiply(xhat, (scale / m * sum_dy_xhat)[None, :, None], out=xhat)
+                xs.add_owned(dx)
             else:
-                xs.grad += dy * scale[None, :, None]
+                xs.add_owned(np.multiply(dy, scale[None, :, None], out=dy))
         tape.record(backward)
     return y
 
@@ -495,8 +495,12 @@ def leaky_relu(x: SignalTensor, slope: float, tape: Tape | None = None) -> Signa
         xs, ys, positive = x.slot, y.slot, x.values > 0
 
         def backward():
-            # factor 1 on the mask and s elsewhere, each exact
-            xs.grad += ys.grad * (positive + ~positive * s)
+            dx, ys.buffer = ys.grad, None  # nothing reads dy again: dx is made in it
+            factor = np.empty(dx.shape[1:], dx.dtype)  # one window's, reused
+            for part, mask in zip(dx, positive):
+                np.multiply(~mask, s, out=factor)  # 1 on the mask and s elsewhere, each exact
+                part *= np.add(factor, mask, out=factor)
+            xs.add_owned(dx)
         tape.record(backward)
     return y
 

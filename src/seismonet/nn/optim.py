@@ -8,12 +8,12 @@ from .tensor import ParamStore
 
 
 def sgd_step(params: ParamStore, lr: float) -> None:
-    """Apply p <- p - lr*grad to every parameter, then zero the gradients."""
+    """Apply p <- p - lr*grad to every parameter, then drop its gradient buffer."""
     for name, param in params.items():
         if not np.isfinite(param.grad).all():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         param.values -= lr * param.grad
-        param.grad[...] = 0
+        param.zero_grad()
 
 
 def lr_schedule(epoch: int, lr0: float, step: int, factor: float) -> float:

@@ -125,36 +125,29 @@ def second_core():
 
 
 def run_halves(pool, fill, n: int) -> None:
-    """Run ``fill(lo, hi)`` over ``[0, n)`` as two halves, sharing them with the pool.
+    """Run ``fill(lo, hi)`` over ``[0, n)`` as two halves, one handed to the pool.
 
-    This thread and the pool's worker each take the next half not yet
-    taken, so while the worker is free it runs one half and this thread the
-    other, both writing into one output that ``fill`` closes over. While
-    the worker is busy with earlier jobs, this thread runs both halves and
-    withdraws the worker's turn, so no half queues behind those jobs; it
-    withdraws it too when a half fails here. This thread waits for a half
-    that the worker took before it returns or re-raises, so no half is
-    still writing once the caller moves on. With no pool, or fewer than
-    two items, ``fill(0, n)`` runs here.
+    The worker is handed the upper half and this thread runs the lower one,
+    both writing into one output that ``fill`` closes over. If the worker
+    has not started its half when this thread is done with its own (it is
+    busy with earlier jobs), this thread withdraws that half and runs it
+    too, so no half queues behind those jobs; a half that fails here
+    withdraws the worker's the same way. A half that the worker started is
+    waited for before this returns or re-raises, so no half is still
+    writing once the caller moves on. With no pool, or fewer than two
+    items, ``fill(0, n)`` runs here.
     """
     if pool is None or n < 2:
         fill(0, n)
         return
-    halves = iter(((0, n // 2), (n // 2, n)))
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                half = next(halves, None)
-            if half is None:
-                return
-            fill(*half)
-    turn = pool.submit(work)
+    mid = n // 2
+    other = pool.submit(fill, mid, n)
     try:
-        work()
+        fill(0, mid)
     finally:
-        # a turn not withdrawn (the worker took a half, or found none left) ends first
-        worker_error = None if turn.cancel() else turn.exception()
-    if worker_error is not None:
-        raise worker_error
+        if not other.cancel():
+            other.exception()  # waits, whatever the outcome
+    if other.cancelled():
+        fill(mid, n)
+    else:
+        other.result()

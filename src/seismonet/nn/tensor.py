@@ -12,13 +12,16 @@ A tensor's gradient lives in a ``GradSlot``: the buffer, allocated (zeroed)
 on first read, plus the shape, dtype and ``requires_grad`` it needs.
 Activations and parameters share one base that holds the values and makes
 the slot on first use, so a forward pass without a tape makes no slot and
-allocates no gradient. A taped op's closure captures the slots of its input
-and output and only the arrays its backward reads (a conv's input values,
-batch norm's ``xhat``, leaky ReLU's mask), never the tensors themselves. So
-an activation that no backward reads is freed as soon as the forward drops
-the tensor, and ``Tape.backward()`` drops each closure right after running
-it: the op's saved arrays and its output gradient are freed once no closure
-still to run, and no deferred job (``Tape.defer``), can read them.
+allocates no gradient. Its ``zero_grad``, which the SGD step calls, drops
+the buffer, so a parameter's gradient, like an activation's, lives from its
+first write in a backward to the SGD step. A taped op's closure captures
+the slots of its input and output and only the arrays its backward reads
+(a conv's input values, batch norm's ``xhat``, leaky ReLU's mask), never
+the tensors themselves. So an activation that no backward reads is freed
+as soon as the forward drops the tensor, and ``Tape.backward()`` drops
+each closure right after running it: the op's saved arrays and its output
+gradient are freed once no closure still to run, and no deferred job
+(``Tape.defer``), can read them.
 """
 from __future__ import annotations
 
@@ -88,7 +91,7 @@ class _Tracked:
 
     The slot is made on first use and its buffer on first read;
     ``t.grad += g`` and ``t.grad[...] = g`` both work on a gradient that was
-    never read.
+    never read, or was dropped by ``zero_grad``.
     """
 
     __slots__ = ("values", "_slot")
@@ -115,6 +118,11 @@ class _Tracked:
     def _grad(self) -> np.ndarray | None:
         """The gradient buffer if one was allocated, else None."""
         return None if self._slot is None else self._slot.buffer
+
+    def zero_grad(self) -> None:
+        """Drop the gradient buffer; the next read allocates a zeroed one."""
+        if self._slot is not None:
+            self._slot.buffer = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -157,11 +165,6 @@ class SignalTensor(_Tracked):
     def length(self) -> int:
         return self.values.shape[2]
 
-    def zero_grad(self) -> None:
-        """Drop the gradient buffer; the next read allocates a zeroed one."""
-        if self._slot is not None:
-            self._slot.buffer = None
-
 
 class Parameter(_Tracked):
     """A trainable array of any rank with an accumulated gradient."""
@@ -170,11 +173,6 @@ class Parameter(_Tracked):
 
     def __init__(self, values: np.ndarray):
         super().__init__(np.asarray(values))
-
-    def zero_grad(self) -> None:
-        """Zero the gradient buffer in place, if one was allocated."""
-        if self._grad is not None:
-            self._grad[...] = 0
 
 
 # Fills a declared parameter: an array (or a scalar) from the generator.

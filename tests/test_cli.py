@@ -13,6 +13,7 @@ from seismonet import cli
 from seismonet.checkpoint import save_checkpoint
 from seismonet.cli import main
 from seismonet.config import load_config
+from seismonet.evaluation import read_hrv_csv
 from seismonet.model import ModelConfig, build_model
 from seismonet.records import load_record, write_record
 from seismonet.synth import SynthParams, synth_record
@@ -334,6 +335,18 @@ def test_hrv_skips_record_too_short_to_annotate(workspace, capsys):
     lines = (tmp / "out" / "hrv.csv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("long,ecg,")
+
+
+def test_hrv_then_agree_keep_a_subject_with_a_comma(workspace):
+    tmp, config = workspace
+    data = tmp / "data"
+    data.mkdir()
+    record = synth_record(SynthParams(fs=50.0, duration_s=12.0, seed=4), "a,b")
+    write_record(record, data / "a,b.csv")
+    assert (data / "a,b.csv.rpeaks").exists()
+    assert run(config, "hrv") == 0
+    assert run(config, "agree") == 0
+    assert [row[:2] for row in read_hrv_csv(tmp / "out" / "hrv.csv")] == [("a,b", "ecg")]
 
 
 def test_unknown_config_key_exits_one(workspace):

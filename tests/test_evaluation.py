@@ -199,13 +199,15 @@ def test_agreement_stats_for_perfect_detector():
 
 def test_report_csv_layout(tmp_path):
     rows = [SubjectScore("1", 319, 323, 304, 15, 19, None, None),
-            SubjectScore("2", 317, 316, 309, 8, 7, None, None)]
+            SubjectScore("2", 317, 316, 309, 8, 7, None, None),
+            SubjectScore("a,b", 0, 0, 0, 0, 0, None, None)]
     report = PeakMatchReport(rows)
     path = tmp_path / "report.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "subject,detected,actual,tp,fp,fn,se,ppv"
     assert lines[1] == "1,319,323,304,15,19,0.94,0.95"
+    assert lines[3] == '"a,b",0,0,0,0,0,nan,nan'  # a comma in the id is quoted
     assert lines[-1].startswith("total,636,639,613,23,26,")
 
 
