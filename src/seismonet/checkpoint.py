@@ -67,11 +67,10 @@ def _write_tensor(fh, name: str, values: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(values, dtype=PAYLOAD_DTYPE).tobytes())
 
 
-def save_checkpoint(model: SeismoNet, path: str | Path, epoch: int | None = None) -> None:
-    """Write config, parameters, and running statistics to ``path``."""
+def save_checkpoint(model: SeismoNet, path: str | Path) -> None:
+    """Write config, ``model.trained_epochs``, parameters, and running statistics."""
     path = Path(path)
-    epoch = model.trained_epochs if epoch is None else epoch
-    config_block = _config_text(model.config, epoch).encode("utf-8")
+    config_block = _config_text(model.config, model.trained_epochs).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -117,12 +116,12 @@ class _Reader:
             raise RecordFormatError(f"{self.path}: {what} is not valid UTF-8") from None
 
 
-def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
-    """Reconstruct a model from a checkpoint file.
+def load_checkpoint(path: str | Path) -> SeismoNet:
+    """Reconstruct a float32 model from a checkpoint file.
 
     The config block declares the model's arrays and the payloads fill them:
-    no initializer runs, and where ``dtype`` is the payload's float32 LE each
-    payload is read straight into its array.
+    no initializer runs, and on a little-endian machine each payload is read
+    straight into its array.
     """
     path = Path(path)
     if not path.exists():
@@ -137,7 +136,7 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> SeismoNet:
                 f"{path}: unsupported checkpoint version {version}, expected {VERSION}")
         config_block = reader.text(reader.u32(), "config block")
         config, epoch = _parse_config_text(config_block, path)
-        model = SeismoNet(config, dtype=dtype)
+        model = SeismoNet(config)
         model.trained_epochs = epoch
 
         # The array of each tensor. Its shape is checked before its payload

@@ -241,9 +241,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_infer(cfg, args.record)
         if args.command == "hrv":
             return cmd_hrv(cfg)
-        if args.command == "agree":
-            return cmd_agree(cfg, args.hrv_csv)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_agree(cfg, args.hrv_csv)  # argparse admits no other command
     except (ConfigError, ValidationError, RecordFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -259,7 +257,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -252,7 +252,8 @@ def read_hrv_csv(path: str | Path) -> list[HrvRow]:
     A wrong header, a row with the wrong field count, a non-numeric or
     non-finite value, or a repeated (subject, source) pair raises
     ``RecordFormatError`` naming the line, and bytes that are not UTF-8
-    raise it naming the file. Fields are read as CSV; blank lines are skipped.
+    raise it naming the file. Fields are read as CSV, so a subject keeps its
+    leading and trailing whitespace; empty and all-whitespace lines are skipped.
     """
     path = Path(path)
     if not path.exists():
@@ -260,13 +261,13 @@ def read_hrv_csv(path: str | Path) -> list[HrvRow]:
     n_fields = 2 + len(HRV_INDEX_NAMES)
     rows: dict[tuple[str, str], HrvIndices] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             if fh.readline().strip() != HRV_HEADER:
                 raise RecordFormatError(f"{path}:1: expected the header {HRV_HEADER!r}")
-            reader = csv.reader(line.strip() for line in fh)
+            reader = csv.reader(fh)
             for parts in reader:
                 lineno = reader.line_num + 1  # after the header
-                if not parts:
+                if len(parts) < 2 and not "".join(parts).strip():
                     continue
                 if len(parts) != n_fields:
                     raise RecordFormatError(

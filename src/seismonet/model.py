@@ -88,11 +88,8 @@ class ModelConfig:
             raise ConfigError(
                 f"bottleneck length {self.encoder_lengths()[-1]} < 4; "
                 f"increase input_len or reduce levels/stride")
-        object.__setattr__(self, "entry_channels", self.resolved_entry_channels)
-
-    @property
-    def resolved_entry_channels(self) -> int:
-        return self.entry_channels if self.entry_channels is not None else self.base_channels // 2
+        if self.entry_channels is None:
+            object.__setattr__(self, "entry_channels", self.base_channels // 2)
 
     @property
     def bottleneck_channels(self) -> int:
@@ -184,9 +181,7 @@ class InceptionResidualBlock:
         ]
 
     def forward(self, x: SignalTensor, tape: Tape | None, training: bool) -> SignalTensor:
-        out = self.branches[0](x, tape)
-        for branch in self.branches[1:]:
-            out = concat_channels(out, branch(x, tape), tape)
+        out = concat_channels(*(branch(x, tape) for branch in self.branches), tape=tape)
         return leaky_relu(add(out, x, tape), self.slope, tape)
 
 
@@ -195,7 +190,7 @@ class EnsembleAveragingBlock:
     channels with a kernel-1 convolution. Length-preserving."""
 
     def __init__(self, store: ParamStore, cfg: ModelConfig, dtype):
-        c = cfg.resolved_entry_channels
+        c = cfg.entry_channels
         self.entry = _Conv(store, "ensemble.entry", 1, c, cfg.entry_kernel, dtype,
                            padding=_same_pad(cfg.entry_kernel))
         self.mix = _Conv(store, "ensemble.mix", c, c, 1, dtype)
@@ -234,8 +229,10 @@ class ExpandingBlock:
     The skip is projected with a kernel-1 convolution to the decoder width
     before concatenation, making the merged input exactly twice the decoder
     width; the output therefore carries a quarter of the merged channels.
-    The upsampled feature is center-cropped or right-zero-padded to the
-    stored encoder-plan length.
+    The upsampled feature is right-zero-padded to the stored encoder-plan
+    length: a same-padded transposed convolution of stride s and odd kernel
+    gives (L-1)*s+1 samples, and L = ceil(T/s) puts the target T at most
+    s-1 samples above that.
     """
 
     def __init__(self, store: ParamStore, name: str, in_ch: int,
@@ -267,7 +264,7 @@ class ExpandingBlock:
             if skip.length != x.length:
                 raise ValidationError(
                     f"skip length {skip.length} != decoder feature length {x.length}")
-            h = concat_channels(x, self.proj(skip, tape), tape)
+            h = concat_channels(x, self.proj(skip, tape), tape=tape)
         h = self.narrow(h, tape)
         h = batchnorm1d(h, self.norm, training, tape)
         h = leaky_relu(h, self.slope, tape)
@@ -315,7 +312,7 @@ class SeismoNet:
 
         self.ensemble = EnsembleAveragingBlock(self.params, config, dtype)
         self.contracting: list[ContractingBlock] = []
-        in_ch = config.resolved_entry_channels
+        in_ch = config.entry_channels
         for n in range(config.levels):
             block = ContractingBlock(self.params, f"ccb{n + 1}", in_ch, config, dtype)
             self.contracting.append(block)

@@ -82,6 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -505,20 +506,22 @@ def leaky_relu(x: SignalTensor, slope: float, tape: Tape | None = None) -> Signa
     return y
 
 
-def concat_channels(a: SignalTensor, b: SignalTensor, tape: Tape | None = None) -> SignalTensor:
-    """Stack two tensors along the channel axis."""
-    if a.batch != b.batch or a.length != b.length:
-        raise ValidationError(
-            f"concat requires equal batch and length: {a.shape} vs {b.shape}")
-    split = a.channels
-    y = SignalTensor(np.concatenate([a.values, b.values], axis=1))
+def concat_channels(*parts: SignalTensor, tape: Tape | None = None) -> SignalTensor:
+    """Stack tensors along the channel axis: one copy, one backward closure."""
+    first = parts[0]
+    for part in parts[1:]:
+        if part.batch != first.batch or part.length != first.length:
+            raise ValidationError(
+                f"concat requires equal batch and length: {first.shape} vs {part.shape}")
+    y = SignalTensor(np.concatenate([part.values for part in parts], axis=1))
 
     if tape is not None:
-        a_slot, b_slot, ys = a.slot, b.slot, y.slot
+        bounds = list(accumulate((part.channels for part in parts), initial=0))
+        slots, ys = [part.slot for part in parts], y.slot
 
         def backward():
-            a_slot.grad += ys.grad[:, :split, :]
-            b_slot.grad += ys.grad[:, split:, :]
+            for slot, lo, hi in zip(slots, bounds, bounds[1:]):
+                slot.grad += ys.grad[:, lo:hi, :]
         tape.record(backward)
     return y
 
@@ -540,22 +543,13 @@ def add(a: SignalTensor, b: SignalTensor, tape: Tape | None = None) -> SignalTen
 
 
 def crop_or_pad(x: SignalTensor, target_len: int, tape: Tape | None = None) -> SignalTensor:
-    """Center-crop or right-zero-pad along the length axis to target_len."""
+    """Right-zero-pad along the length axis to target_len (>= the input length)."""
     length = x.length
     if length == target_len:
         return x
     if length > target_len:
-        start = (length - target_len) // 2
-        y = SignalTensor(x.values[:, :, start:start + target_len].copy())
-        if tape is not None:
-            xs, ys = x.slot, y.slot
-
-            def backward():
-                xs.grad[:, :, start:start + target_len] += ys.grad
-            tape.record(backward)
-        return y
-    pad = target_len - length
-    y = SignalTensor(np.pad(x.values, ((0, 0), (0, 0), (0, pad))))
+        raise ValidationError(f"cannot pad length {length} to a shorter {target_len}")
+    y = SignalTensor(np.pad(x.values, ((0, 0), (0, 0), (0, target_len - length))))
     if tape is not None:
         xs, ys = x.slot, y.slot
 
@@ -596,16 +590,14 @@ def resize_linear(x: SignalTensor, target_len: int, tape: Tape | None = None) ->
     return y
 
 
-def smooth_l1_loss(pred: SignalTensor, target, reduction: str = "mean",
-                   tape: Tape | None = None) -> float:
-    """Huber-style loss: quadratic below unit error, linear above.
+def smooth_l1_loss(pred: SignalTensor, target, tape: Tape | None = None) -> float:
+    """Huber-style loss, the mean over elements: quadratic below unit error,
+    linear above.
 
     Per element of d = pred - target: 0.5*d^2 where |d| < 1, |d| - 0.5
-    otherwise. The gradient w.r.t. pred is d where |d| < 1 and sign(d)
-    otherwise, scaled by 1/n for mean reduction.
+    otherwise. The gradient w.r.t. pred is d/n where |d| < 1 and sign(d)/n
+    otherwise, for n elements.
     """
-    if reduction not in ("mean", "sum"):
-        raise ValidationError(f"unknown reduction {reduction!r}")
     target_values = target.values if isinstance(target, SignalTensor) else np.asarray(target)
     if pred.shape != target_values.shape:
         raise ValidationError(
@@ -615,17 +607,14 @@ def smooth_l1_loss(pred: SignalTensor, target, reduction: str = "mean",
     abs_d = np.abs(d)
     quad = abs_d < 1.0
     elementwise = np.where(quad, 0.5 * d * d, abs_d - 0.5)
-    total = float(elementwise.sum())
     n = d.size
-    value = total / n if reduction == "mean" else total
+    value = float(elementwise.sum()) / n
 
     if tape is not None:
         ps = pred.slot
 
         def backward():
-            g = np.where(quad, d, np.sign(d))
-            if reduction == "mean":
-                g = g / n
+            g = np.where(quad, d, np.sign(d)) / n
             ps.grad += g.astype(ps.dtype, copy=False)
         tape.record(backward)
     return value

@@ -65,7 +65,7 @@ def validate_annotations(indices: np.ndarray, length: int) -> None:
 CHUNK_ROWS = 65536
 
 
-def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> Record:
+def load_record(path: str | Path, fs: float) -> Record:
     """Load a record CSV plus its optional sibling annotation file.
 
     The data rows are parsed by one vectorised call per chunk of
@@ -109,7 +109,7 @@ def load_record(path: str | Path, fs: float, subject_id: str | None = None) -> R
         raise RecordFormatError(f"{ann_path}: annotation path is not a file")
 
     return Record(
-        subject_id=subject_id or path.stem,
+        subject_id=path.stem,
         fs=fs,
         scg=data.samples[0],
         ecg=data.samples[1] if len(columns) == 3 else None,

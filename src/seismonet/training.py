@@ -85,7 +85,7 @@ def evaluate_loss(model: SeismoNet, windows: Sequence[Window],
         chunk = windows[lo:lo + batch_size]
         inputs, targets = _stack_batch(chunk, model.dtype)
         pred = SignalTensor(model.predict(inputs))
-        loss = smooth_l1_loss(pred, targets, reduction="mean", tape=None)
+        loss = smooth_l1_loss(pred, targets)
         total += loss * len(chunk)
         count += len(chunk)
     return total / count
@@ -127,7 +127,7 @@ def train(model: SeismoNet, split: DatasetSplit, cfg: TrainConfig,
             tape = Tape()
             pred = model.forward(SignalTensor(inputs, requires_grad=False), tape=tape,
                                  training=True)
-            loss = smooth_l1_loss(pred, targets, reduction="mean", tape=tape)
+            loss = smooth_l1_loss(pred, targets, tape)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} at epoch {epoch}, "

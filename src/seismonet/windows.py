@@ -57,9 +57,6 @@ class DatasetSplit:
     val: list[Window]
     test: list[Window]
 
-    def __iter__(self):
-        return iter((self.train, self.val, self.test))
-
 
 def distance_transform(annotations, length: int) -> np.ndarray:
     """Per-sample distance to the nearest annotation, in samples.

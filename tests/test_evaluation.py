@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from seismonet.detect import ValleyParams
-from seismonet.errors import ValidationError
+from seismonet.errors import RecordFormatError, ValidationError
 from seismonet.model import ModelConfig, build_model
 from seismonet.evaluation import (
     PREDICT_BATCH,
@@ -19,6 +19,7 @@ from seismonet.evaluation import (
     write_agreement_csv,
     write_hrv_csv,
 )
+from seismonet.hrv import HrvIndices
 from seismonet.synth import SynthParams, synth_record
 from seismonet.windows import Window, labeled_only, segment_windows, split_dataset
 
@@ -229,6 +230,20 @@ def test_hrv_csv_round_trip(tmp_path):
     rows = hrv_table(report)
     write_hrv_csv(rows, tmp_path / "hrv.csv")
     assert read_hrv_csv(tmp_path / "hrv.csv") == rows
+
+
+def test_hrv_csv_keeps_whitespace_around_subject_ids(tmp_path):
+    # " a" and "a" are two subjects; read back as one, they would pair up
+    idx = HrvIndices(850.0, 50.0, 40.0, 0.1)
+    rows = [(" a", "ecg", idx), ("a", "scg", idx), ("b\t", "ecg", idx), ("  ", "scg", idx)]
+    path = tmp_path / "hrv.csv"
+    write_hrv_csv(rows, path)
+    assert read_hrv_csv(path) == rows
+    # empty and all-whitespace lines are skipped and still counted
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n  \t\na,ecg,1.0,2.0\n")
+    with pytest.raises(RecordFormatError, match=r"hrv\.csv:8: expected 6 fields, got 4"):
+        read_hrv_csv(path)
 
 
 def test_read_hrv_csv_missing_file(tmp_path):

@@ -1,4 +1,6 @@
 """Architecture arithmetic, block behavior, and checkpoint round trips."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +14,8 @@ from seismonet.model import (
     ModelConfig,
     build_model,
 )
-from seismonet.nn import ParamStore, SignalTensor, Tape, leaky_relu, sgd_step, smooth_l1_loss
+from seismonet.nn import (ConvSpec, ParamStore, SignalTensor, Tape, leaky_relu, sgd_step,
+                          smooth_l1_loss)
 
 
 def test_default_is_twelve_blocks_512_bottleneck():
@@ -56,7 +59,7 @@ def test_forward_random_configs_preserve_length(rng):
 def test_contracting_channel_sequence_from_entry_16():
     cfg = ModelConfig(input_len=256, levels=5, base_channels=32)
     model = build_model(cfg, seed=0)
-    assert cfg.resolved_entry_channels == 16
+    assert cfg.entry_channels == 16
     widths = [b.down.spec.out_channels for b in model.contracting]
     assert widths == [32, 64, 128, 256, 512]
 
@@ -117,6 +120,41 @@ def test_denoise_restores_length():
     x = SignalTensor(np.random.default_rng(0).normal(size=(1, 8, 497)).astype(np.float32))
     out = model.denoise.forward(x, tape=None, training=False)
     assert out.shape == (1, 1, 500)
+
+
+def test_decoder_length_plan_only_pads():
+    # Every valid config on the grid: each up-sampling stage comes out at most
+    # s-1 samples short of its encoder-plan target and never long, so
+    # crop_or_pad only pads, and the last stage ends at input_len.
+    def up_spec(cfg):
+        return ConvSpec(1, 1, cfg.up_kernel, cfg.down_stride, (cfg.up_kernel - 1) // 2,
+                        transposed=True)
+
+    small = ModelConfig(input_len=90, levels=2, base_channels=4, down_stride=3, up_kernel=7)
+    assert {replace(block.up.spec, in_channels=1, out_channels=1)
+            for block in build_model(small).expanding} == {up_spec(small)}
+
+    stages = pads = 0
+    for input_len in range(16, 696, 7):
+        for levels in range(1, 6):
+            for stride in range(1, 5):
+                for up_kernel in range(1, 10, 2):
+                    try:
+                        cfg = ModelConfig(input_len=input_len, levels=levels,
+                                          down_stride=stride, up_kernel=up_kernel)
+                    except ConfigError:
+                        continue
+                    lengths, spec = cfg.encoder_lengths(), up_spec(cfg)
+                    length = lengths[-1]
+                    for n in range(levels):
+                        target = lengths[levels - 1 - n]
+                        out = spec.out_length(length)
+                        assert target - (stride - 1) <= out <= target, (cfg, n)
+                        stages += 1
+                        pads += out < target
+                        length = target
+                    assert length == input_len
+    assert (stages, pads) == (20840, 8035)
 
 
 def test_inception_channel_split_11_11_10():
@@ -227,7 +265,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path, rng):
     model.forward(SignalTensor(rng.normal(size=(2, 1, 96)).astype(np.float32)),
                   tape=Tape(), training=True)
     path = tmp_path / "model.smn"
-    save_checkpoint(model, path, epoch=17)
+    model.trained_epochs = 17
+    save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.trained_epochs == 17
     assert loaded.config == model.config
@@ -393,7 +432,9 @@ def test_checkpoint_config_block_bytes_pinned(tmp_path, desk_checkpoint):
                       inception_kernels=(1, 3, 5, 7), leaky_slope=0.2, bn_momentum=0.05,
                       bn_eps=1e-3)
     path = tmp_path / "custom.smn"
-    save_checkpoint(build_model(cfg, seed=0), path, epoch=17)
+    model = build_model(cfg, seed=0)
+    model.trained_epochs = 17
+    save_checkpoint(model, path)
     assert _config_block(path.read_bytes()) == (
         b"input_len=301\nlevels=2\nbase_channels=12\nconv_kernel=5\ndown_kernel=3\n"
         b"up_kernel=7\ndown_stride=3\nentry_channels=6\nentry_kernel=9\n"

@@ -2,13 +2,14 @@
 over the one-worker pool, and the worker computes their parameter gradients
 while the calling thread runs the backward chain, with the same bytes as on
 one core and about the same memory."""
+import ast
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import run_python, two_cpus
+from conftest import SRC, run_python, two_cpus
 from seismonet.nn import ConvSpec, Parameter, SignalTensor, Tape, conv1d, ops
 from seismonet.nn.pool import run_halves
 
@@ -336,6 +337,23 @@ def test_paper_default_step_gradients_are_the_one_cpu_bytes():
                     {"OPENBLAS_NUM_THREADS": "2"}):
         split = run_python(PAPER_STEP, env={**unset, **setting}).splitlines()
         assert split == [*single[:-1], "threads 2"], setting
+
+
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def test_no_package_module_reads_the_environment():
+    # The bits above hold in every environment because nothing under the
+    # package reads a variable; a module that starts to would go unnoticed.
+    readers = []
+    for path in sorted((SRC / "seismonet").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ENV_NAMES:
+                readers.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{path.name}:{node.lineno}: from os import {alias.name}"
+                            for alias in node.names if alias.name in ENV_NAMES]
+    assert readers == []
 
 
 @two_cpus
